@@ -28,10 +28,10 @@ from .fewshot import (
     embed,
     ensemble_predict,
     evaluate,
-    finetune_head,
-    knn_head,
-    linear_probe,
-    prototype_classify,
+    finetune_probs,
+    knn_probs,
+    linear_probe_probs,
+    prototype_probs,
 )
 from .nncore import AdamState, DenseLayer, adam_step, cosine_sim, infonce_loss
 from .preprocess import (
@@ -93,13 +93,13 @@ __all__ = [
     "ensemble_predict",
     "evaluate",
     "expected_mismatch",
-    "finetune_head",
+    "finetune_probs",
     "fit",
     "infonce_loss",
     "init_stack",
-    "knn_head",
+    "knn_probs",
     "latent_consistency",
-    "linear_probe",
+    "linear_probe_probs",
     "load_checkpoint",
     "load_csv",
     "load_run_config",
@@ -109,7 +109,7 @@ __all__ = [
     "neighbor_fraction_curve",
     "pretrain",
     "pretrain_ensemble",
-    "prototype_classify",
+    "prototype_probs",
     "sample_episode",
     "sample_mask",
     "save_checkpoint",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, Episode, SplitIndices, sample_episode
 from .errors import DimensionError, HeadError
-from .nncore import AdamState, adam_step, mlp_backward, mlp_forward
+from .nncore import AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
 from .preprocess import Preprocessor, encode
 from .pretrain import EncoderStack
 
@@ -100,14 +100,16 @@ def embed(stack: EncoderStack, x: np.ndarray) -> EmbeddingSet:
             f"expected (*, {stack.encoded_dim}) inputs, got {x.shape}"
         )
     vectors, _ = mlp_forward(stack.encoder, x)
-    assert np.all(np.isfinite(vectors))
+    if not np.all(np.isfinite(vectors)):
+        raise HeadError("encoder produced non-finite embeddings")
     return EmbeddingSet(vectors=vectors, source=f"ratio={stack.ratio}")
 
 
-def _check_support(support: EmbeddingSet) -> np.ndarray:
-    if support.labels is None or len(support.labels) == 0:
+def _check_support(labels: np.ndarray | None) -> np.ndarray:
+    """Sorted class ids of the support labels; rejects a missing or empty set."""
+    if labels is None or len(labels) == 0:
         raise HeadError("support set must be labeled and non-empty")
-    return np.unique(np.asarray(support.labels))
+    return np.unique(np.asarray(labels))
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -130,7 +132,7 @@ def prototype_probs(
     prototypes are turned into probabilities with a temperature-1 softmax.
     Returns (sorted class ids, (n_query, n_way) probabilities).
     """
-    classes = _check_support(support)
+    classes = _check_support(support.labels)
     protos = np.stack(
         [support.vectors[support.labels == c].mean(axis=0) for c in classes]
     )
@@ -146,14 +148,6 @@ def prototype_probs(
     else:
         raise HeadError(f"unknown prototype metric {metric!r}")
     return classes, _softmax(logits)
-
-
-def prototype_classify(
-    support: EmbeddingSet, query: EmbeddingSet, metric: str = "cosine"
-) -> np.ndarray:
-    """Assign each query to its most similar class prototype (ties to lowest class)."""
-    classes, probs = prototype_probs(support, query, metric)
-    return classes[np.argmax(probs, axis=1)]
 
 
 def _init_probe(
@@ -174,25 +168,41 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
     return loss, d / n
 
 
-def linear_probe_probs(
-    support: EmbeddingSet, query: EmbeddingSet, cfg: ProbeConfig | None = None
+def _fit_probe(
+    x: np.ndarray,
+    y: np.ndarray,
+    n_way: int,
+    cfg: ProbeConfig,
+    encoder: list[DenseLayer] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train an affine classifier on frozen support embeddings; return query probabilities."""
-    cfg = cfg or ProbeConfig()
-    classes = _check_support(support)
-    y = np.searchsorted(classes, support.labels)
-    rng = np.random.default_rng(cfg.seed)
-    w, b = _init_probe(support.vectors.shape[1], len(classes), rng)
-    state = AdamState.for_params([w, b], lr=cfg.learning_rate)
+    """Train an affine head ``(w, b)`` on ``x`` with full-batch Adam.
 
-    h = support.vectors
+    Without ``encoder``, ``x`` holds frozen embeddings. With it, ``x`` holds
+    encoder inputs and the encoder's layers train with the head, in place.
+    Training stops after ``cfg.max_epochs`` steps, or once the loss has
+    changed by less than ``cfg.tol`` for ``cfg.tol_patience`` consecutive
+    steps.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    dim = x.shape[1] if encoder is None else encoder[-1].out_dim
+    w, b = _init_probe(dim, n_way, rng)
+    params = [w, b] + [t for layer in encoder or () for t in (layer.weight, layer.bias)]
+    state = AdamState.for_params(params, lr=cfg.learning_rate)
+
+    h = x
     prev = np.inf
     steady = 0
     for _ in range(cfg.max_epochs):
+        if encoder is not None:
+            h, cache = mlp_forward(encoder, x)
         loss, d_logits = _cross_entropy(h @ w.T + b, y)
         if not np.isfinite(loss):
             raise HeadError("non-finite probe loss")
-        adam_step([w, b], [d_logits.T @ h, d_logits.sum(axis=0)], state)
+        grads = [d_logits.T @ h, d_logits.sum(axis=0)]
+        if encoder is not None:
+            mlp_backward(encoder, cache, (d_logits @ w).astype(x.dtype, copy=False))
+            grads += [g for layer in encoder for g in (layer.grad_weight, layer.grad_bias)]
+        adam_step(params, grads, state)
         if abs(prev - loss) < cfg.tol:
             steady += 1
             if steady >= cfg.tol_patience:
@@ -200,22 +210,25 @@ def linear_probe_probs(
         else:
             steady = 0
         prev = loss
-    return classes, _softmax(query.vectors @ w.T + b)
+    return w, b
 
 
-def linear_probe(
+def linear_probe_probs(
     support: EmbeddingSet, query: EmbeddingSet, cfg: ProbeConfig | None = None
-) -> np.ndarray:
-    """Predicted labels from the linear probe."""
-    classes, probs = linear_probe_probs(support, query, cfg)
-    return classes[np.argmax(probs, axis=1)]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train an affine classifier on frozen support embeddings; return query probabilities."""
+    cfg = cfg or ProbeConfig()
+    classes = _check_support(support.labels)
+    y = np.searchsorted(classes, support.labels)
+    w, b = _fit_probe(support.vectors, y, len(classes), cfg)
+    return classes, _softmax(query.vectors @ w.T + b)
 
 
 def knn_probs(
     support: EmbeddingSet, query: EmbeddingSet, k: int, metric: str = "euclidean"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vote shares over the k nearest support embeddings."""
-    classes = _check_support(support)
+    classes = _check_support(support.labels)
     if k < 1:
         raise HeadError(f"k must be >= 1, got {k}")
     if k > len(support.vectors):
@@ -239,14 +252,6 @@ def knn_probs(
     return classes, probs
 
 
-def knn_head(
-    support: EmbeddingSet, query: EmbeddingSet, k: int, metric: str = "euclidean"
-) -> np.ndarray:
-    """Majority vote over the k nearest support embeddings (ties to lowest class)."""
-    classes, probs = knn_probs(support, query, k, metric)
-    return classes[np.argmax(probs, axis=1)]
-
-
 def finetune_probs(
     stack: EncoderStack,
     support_x: np.ndarray,
@@ -260,57 +265,19 @@ def finetune_probs(
     :func:`linear_probe_probs` for the same seed.
     """
     cfg = cfg or ProbeConfig()
-    support_y = np.asarray(support_y)
-    if len(support_y) == 0:
-        raise HeadError("support set must be labeled and non-empty")
-    classes = np.unique(support_y)
+    classes = _check_support(support_y)
     y = np.searchsorted(classes, support_y)
-
     work = stack.clone()
     dtype = work.cfg.numpy_dtype()
-    support_x = np.asarray(support_x, dtype=dtype)
-    rng = np.random.default_rng(cfg.seed)
-    w, b = _init_probe(work.embed_dim, len(classes), rng)
-    params = [w, b] + work.parameters()[:4]
-    state = AdamState.for_params(params, lr=cfg.learning_rate)
-
-    prev = np.inf
-    steady = 0
-    for _ in range(cfg.max_epochs):
-        h, cache = mlp_forward(work.encoder, support_x)
-        loss, d_logits = _cross_entropy(h @ w.T + b, y)
-        if not np.isfinite(loss):
-            raise HeadError("non-finite fine-tuning loss")
-        d_h = d_logits @ w
-        mlp_backward(work.encoder, cache, d_h.astype(dtype, copy=False))
-        grads = [d_logits.T @ h, d_logits.sum(axis=0)] + work.gradients()[:4]
-        adam_step(params, grads, state)
-        if abs(prev - loss) < cfg.tol:
-            steady += 1
-            if steady >= cfg.tol_patience:
-                break
-        else:
-            steady = 0
-        prev = loss
-
+    w, b = _fit_probe(
+        np.asarray(support_x, dtype=dtype), y, len(classes), cfg, work.encoder
+    )
     h_query, _ = mlp_forward(work.encoder, np.asarray(query_x, dtype=dtype))
     return classes, _softmax(h_query @ w.T + b)
 
 
-def finetune_head(
-    stack: EncoderStack,
-    support_x: np.ndarray,
-    support_y: np.ndarray,
-    query_x: np.ndarray,
-    cfg: ProbeConfig | None = None,
-) -> np.ndarray:
-    """Predicted labels after fine-tuning the whole encoder with the classifier."""
-    classes, probs = finetune_probs(stack, support_x, support_y, query_x, cfg)
-    return classes[np.argmax(probs, axis=1)]
-
-
 def _member_probs(
-    member: EncoderStack,
+    member: EncoderStack | None,
     support_x: np.ndarray,
     support_y: np.ndarray,
     query_x: np.ndarray,
@@ -318,10 +285,14 @@ def _member_probs(
     cfg: ProbeConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     if head == "finetune":
+        if member is None:
+            raise HeadError(f"head {head!r} needs a trained stack")
         return finetune_probs(member, support_x, support_y, query_x, cfg)
-    sup = embed(member, support_x)
+    if member is None:
+        sup, qry = EmbeddingSet(support_x), EmbeddingSet(query_x)
+    else:
+        sup, qry = embed(member, support_x), embed(member, query_x)
     sup.labels = np.asarray(support_y)
-    qry = embed(member, query_x)
     if head == "proto-cos":
         return prototype_probs(sup, qry, "cosine")
     if head == "proto-eucl":
@@ -336,14 +307,18 @@ def _member_probs(
 
 
 def ensemble_predict(
-    members: list[EncoderStack],
+    members: list[EncoderStack | None],
     support_x: np.ndarray,
     support_y: np.ndarray,
     query_x: np.ndarray,
     head: str = "linear",
     cfg: ProbeConfig | None = None,
 ) -> np.ndarray:
-    """Average per-member class probabilities uniformly and take the argmax."""
+    """Average per-member class probabilities uniformly and take the argmax.
+
+    A ``None`` member is the identity encoder: its heads run on the inputs
+    themselves, and it cannot be fine-tuned.
+    """
     if not members:
         raise HeadError("ensemble needs at least one member")
     cfg = cfg or ProbeConfig()
@@ -390,6 +365,7 @@ def evaluate(
         n_seeds=protocol.n_seeds,
         n_episodes=protocol.n_episodes,
     )
+    encoders = [None] if raw_space else members
     for seed_idx in range(protocol.n_seeds):
         for ep_idx in range(protocol.n_episodes):
             episode = sample_episode(
@@ -409,23 +385,7 @@ def evaluate(
             qry_y = np.array([c for _, c in episode.query])
             x_sup = encode(pp, ds, sup_rows)
             x_qry = encode(pp, ds, qry_rows)
-            if raw_space:
-                sup = EmbeddingSet(x_sup, sup_y)
-                qry = EmbeddingSet(x_qry)
-                if head == "proto-cos":
-                    preds = prototype_classify(sup, qry, "cosine")
-                elif head == "proto-eucl":
-                    preds = prototype_classify(sup, qry, "euclidean")
-                elif head == "linear":
-                    preds = linear_probe(sup, qry, cfg)
-                elif head == "knn-cos":
-                    preds = knn_head(sup, qry, cfg.knn_k, "cosine")
-                elif head == "knn-eucl":
-                    preds = knn_head(sup, qry, cfg.knn_k, "euclidean")
-                else:
-                    raise HeadError(f"head {head!r} needs a trained stack")
-            else:
-                preds = ensemble_predict(members, x_sup, sup_y, x_qry, head, cfg)
+            preds = ensemble_predict(encoders, x_sup, sup_y, x_qry, head, cfg)
             accuracy = float(np.mean(preds == qry_y))
             report.rows.append((seed_idx, ep_idx, accuracy))
     return report

@@ -7,17 +7,12 @@ split across the two views.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMERICAL, Dataset
+from .data import NUMERICAL, Dataset, _round_half_up
 from .errors import EncodingError, MaskError, ViewError
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 @dataclass

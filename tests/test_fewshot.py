@@ -16,11 +16,10 @@ from tabalign.fewshot import (
     embed,
     ensemble_predict,
     evaluate,
-    finetune_head,
-    knn_head,
-    linear_probe,
+    finetune_probs,
+    knn_probs,
     linear_probe_probs,
-    prototype_classify,
+    prototype_probs,
     write_report_csv,
     write_summary_csv,
 )
@@ -37,6 +36,12 @@ FAST_PROBE = ProbeConfig(max_epochs=800, seed=0)
 
 def _labeled(vectors, labels):
     return EmbeddingSet(np.asarray(vectors, dtype=np.float64), np.asarray(labels))
+
+
+def _predict(head_probs, *args, **kwargs):
+    """Labels from a ``*_probs`` head: the argmax class, ties to the lowest."""
+    classes, probs = head_probs(*args, **kwargs)
+    return classes[np.argmax(probs, axis=1)]
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,12 @@ class TestEmbed:
         with pytest.raises(DimensionError):
             embed(stack, np.ones((3, 7)))
 
+    def test_non_finite_embedding_rejected(self):
+        stack = init_stack(6, 0.2, seed=0, cfg=TINY_CFG)
+        stack.encoder[0].weight[0, 0] = np.nan
+        with pytest.raises(HeadError, match="non-finite"):
+            embed(stack, np.ones((3, 6)))
+
     def test_finite_on_many_rows_after_training(self, eval_setup):
         from tabalign.pretrain import PretrainConfig as PC
         from tabalign.pretrain import pretrain
@@ -88,12 +99,12 @@ class TestPrototype:
     def test_query_equal_to_support_vector(self):
         sup = _labeled([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0, 1, 2])
         qry = EmbeddingSet(np.array([[0.0, 1.0]]))
-        assert prototype_classify(sup, qry)[0] == 1
+        assert _predict(prototype_probs, sup, qry)[0] == 1
 
     def test_two_class_example(self):
         sup = _labeled([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         qry = EmbeddingSet(np.array([[0.9, 0.1]]))
-        assert prototype_classify(sup, qry)[0] == 0
+        assert _predict(prototype_probs, sup, qry)[0] == 0
 
     def test_matches_exhaustive_similarity_table(self):
         """Independent per-query cosine table, 3 classes, 5 shots."""
@@ -101,7 +112,7 @@ class TestPrototype:
         labels = np.repeat([0, 1, 2], 5)
         sup = _labeled(rng.normal(size=(15, 6)), labels)
         qry = EmbeddingSet(rng.normal(size=(20, 6)))
-        preds = prototype_classify(sup, qry)
+        preds = _predict(prototype_probs, sup, qry)
 
         protos = [sup.vectors[labels == c].mean(axis=0) for c in (0, 1, 2)]
         for i in range(20):
@@ -115,21 +126,22 @@ class TestPrototype:
         rng = np.random.default_rng(5)
         sup = _labeled(rng.normal(size=(12, 4)), np.repeat([0, 1, 2], 4))
         qry = EmbeddingSet(rng.normal(size=(30, 4)))
-        base = prototype_classify(sup, qry)
+        base = _predict(prototype_probs, sup, qry)
         for c in (0.001, 7.5, 2048.0):
             scaled_sup = _labeled(sup.vectors * c, sup.labels)
             scaled_qry = EmbeddingSet(qry.vectors * c)
-            np.testing.assert_array_equal(prototype_classify(scaled_sup, scaled_qry), base)
+            scaled = _predict(prototype_probs, scaled_sup, scaled_qry)
+            np.testing.assert_array_equal(scaled, base)
 
     def test_euclidean_variant_differs_from_cosine_when_it_should(self):
         sup = _labeled([[10.0, 0.0], [0.0, 1.0]], [0, 1])
         qry = EmbeddingSet(np.array([[2.0, 0.5]]))
-        assert prototype_classify(sup, qry, metric="cosine")[0] == 0
-        assert prototype_classify(sup, qry, metric="euclidean")[0] == 1
+        assert _predict(prototype_probs, sup, qry, metric="cosine")[0] == 0
+        assert _predict(prototype_probs, sup, qry, metric="euclidean")[0] == 1
 
     def test_unlabeled_support_rejected(self):
         with pytest.raises(HeadError):
-            prototype_classify(EmbeddingSet(np.ones((2, 2))), EmbeddingSet(np.ones((1, 2))))
+            prototype_probs(EmbeddingSet(np.ones((2, 2))), EmbeddingSet(np.ones((1, 2))))
 
 
 class TestLinearProbe:
@@ -139,15 +151,15 @@ class TestLinearProbe:
             np.vstack([rng.normal(-3.0, 0.3, size=(10, 4)), rng.normal(3.0, 0.3, size=(10, 4))]),
             np.repeat([0, 1], 10),
         )
-        preds = linear_probe(sup, sup, FAST_PROBE)
+        preds = _predict(linear_probe_probs, sup, sup, FAST_PROBE)
         np.testing.assert_array_equal(preds, sup.labels)
 
     def test_support_duplicated_as_query(self):
         rng = np.random.default_rng(2)
         sup = _labeled(rng.normal(size=(10, 4)), np.repeat([0, 1], 5))
         qry = EmbeddingSet(sup.vectors.copy())
-        preds_q = linear_probe(sup, qry, FAST_PROBE)
-        preds_s = linear_probe(sup, sup, FAST_PROBE)
+        preds_q = _predict(linear_probe_probs, sup, qry, FAST_PROBE)
+        preds_s = _predict(linear_probe_probs, sup, sup, FAST_PROBE)
         np.testing.assert_array_equal(preds_q, preds_s)
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
@@ -179,24 +191,24 @@ class TestKnn:
     def test_one_nn_on_support_vector(self):
         sup = _labeled([[0.0, 0.0], [5.0, 5.0]], [0, 1])
         qry = EmbeddingSet(np.array([[5.0, 5.0]]))
-        assert knn_head(sup, qry, k=1)[0] == 1
+        assert _predict(knn_probs, sup, qry, k=1)[0] == 1
 
     def test_full_k_returns_majority(self):
         sup = _labeled([[0.0], [0.1], [0.2], [9.0]], [1, 1, 1, 0])
         qry = EmbeddingSet(np.array([[100.0]]))
-        assert knn_head(sup, qry, k=4)[0] == 1
+        assert _predict(knn_probs, sup, qry, k=4)[0] == 1
 
     def test_vote_tie_breaks_to_lowest_class(self):
         sup = _labeled([[0.0], [1.0]], [1, 0])
         qry = EmbeddingSet(np.array([[0.5]]))
-        assert knn_head(sup, qry, k=2)[0] == 0
+        assert _predict(knn_probs, sup, qry, k=2)[0] == 0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(6)
         sup = _labeled(rng.normal(size=(20, 5)), rng.integers(3, size=20))
         qry = EmbeddingSet(rng.normal(size=(15, 5)))
         for k in (1, 3, 7):
-            preds = knn_head(sup, qry, k=k, metric="euclidean")
+            preds = _predict(knn_probs, sup, qry, k=k, metric="euclidean")
             for i in range(15):
                 d = np.sqrt(((sup.vectors - qry.vectors[i]) ** 2).sum(axis=1))
                 nearest = np.argsort(d, kind="stable")[:k]
@@ -207,9 +219,9 @@ class TestKnn:
         sup = _labeled([[0.0], [1.0]], [0, 1])
         qry = EmbeddingSet(np.array([[0.5]]))
         with pytest.raises(HeadError):
-            knn_head(sup, qry, k=0)
+            knn_probs(sup, qry, k=0)
         with pytest.raises(HeadError):
-            knn_head(sup, qry, k=3)
+            knn_probs(sup, qry, k=3)
 
 
 class TestFinetune:
@@ -220,25 +232,30 @@ class TestFinetune:
         x_qry = encode(pp, ds, idx.test[12:30])
         cfg = ProbeConfig(learning_rate=0.0, max_epochs=60, seed=4)
 
-        ft = finetune_head(stack, x_sup, y_sup, x_qry, cfg)
+        ft_classes, ft = finetune_probs(stack, x_sup, y_sup, x_qry, cfg)
         sup = embed(stack, x_sup)
         sup.labels = y_sup
-        lp = linear_probe(sup, embed(stack, x_qry), cfg)
-        np.testing.assert_array_equal(ft, lp)
+        lp_classes, lp = linear_probe_probs(sup, embed(stack, x_qry), cfg)
+        np.testing.assert_array_equal(ft_classes, lp_classes)
+        assert ft.tobytes() == lp.tobytes()
 
     def test_original_stack_untouched(self, eval_setup):
+        """At lr > 0 the encoder trains, on a clone: the probabilities leave the
+        frozen probe's, and the caller's stack keeps its bits."""
         ds, idx, pp, stack = eval_setup
         before = [p.copy() for p in stack.parameters()]
         x_sup = encode(pp, ds, idx.test[:12])
-        finetune_head(
-            stack,
-            x_sup,
-            np.asarray(np.arange(12) % 3),
-            encode(pp, ds, idx.test[12:20]),
-            ProbeConfig(max_epochs=40, seed=0),
-        )
+        y_sup = np.asarray(np.arange(12) % 3)
+        x_qry = encode(pp, ds, idx.test[12:20])
+        cfg = ProbeConfig(max_epochs=40, seed=0)
+        _, ft = finetune_probs(stack, x_sup, y_sup, x_qry, cfg)
         for p, b in zip(stack.parameters(), before):
             assert p.tobytes() == b.tobytes()
+
+        sup = embed(stack, x_sup)
+        sup.labels = y_sup
+        _, lp = linear_probe_probs(sup, embed(stack, x_qry), cfg)
+        assert np.max(np.abs(ft - lp)) > 1e-6
 
     def test_competitive_with_linear_probe_on_synthetic(self, eval_setup):
         """Accuracy within 5 points of the probe across 5 seeded episodes."""
@@ -270,7 +287,7 @@ class TestEnsemble:
         ens = ensemble_predict([stack], x_sup, y_sup, x_qry, head="proto-cos")
         sup = embed(stack, x_sup)
         sup.labels = y_sup
-        solo = prototype_classify(sup, embed(stack, x_qry))
+        solo = _predict(prototype_probs, sup, embed(stack, x_qry))
         np.testing.assert_array_equal(ens, solo)
 
     def test_identical_members_preserve_argmax(self, eval_setup):
@@ -336,24 +353,44 @@ class TestEvaluate:
             sup = _labeled(rng.normal(size=(5, 6)), np.arange(5))
             qry = EmbeddingSet(rng.normal(size=(25, 6)))
             np.testing.assert_array_equal(
-                prototype_classify(sup, qry, "cosine"),
-                knn_head(sup, qry, k=1, metric="cosine"),
+                _predict(prototype_probs, sup, qry, "cosine"),
+                _predict(knn_probs, sup, qry, k=1, metric="cosine"),
             )
 
     def test_one_shot_prototype_equals_one_nn_cosine(self, eval_setup):
         ds, idx, pp, stack = eval_setup
-        for base_seed in range(3):
-            proto_report = evaluate(
-                [stack], pp, ds, idx,
-                Protocol(n_way=4, k_shot=1, n_episodes=3, n_seeds=1,
-                         n_query_per_class=8, head="proto-cos", base_seed=base_seed),
-            )
-            knn_report = evaluate(
-                [stack], pp, ds, idx,
-                Protocol(n_way=4, k_shot=1, n_episodes=3, n_seeds=1,
-                         n_query_per_class=8, head="knn-cos", base_seed=base_seed),
-            )
-            np.testing.assert_allclose(proto_report.accuracies, knn_report.accuracies)
+        for raw_space in (False, True):
+            for base_seed in range(3):
+                proto_report = evaluate(
+                    [stack], pp, ds, idx,
+                    Protocol(n_way=4, k_shot=1, n_episodes=3, n_seeds=1,
+                             n_query_per_class=8, head="proto-cos", base_seed=base_seed),
+                    raw_space=raw_space,
+                )
+                knn_report = evaluate(
+                    [stack], pp, ds, idx,
+                    Protocol(n_way=4, k_shot=1, n_episodes=3, n_seeds=1,
+                             n_query_per_class=8, head="knn-cos", base_seed=base_seed),
+                    raw_space=raw_space,
+                )
+                np.testing.assert_allclose(proto_report.accuracies, knn_report.accuracies)
+
+    def test_raw_space_ignores_members(self, eval_setup):
+        ds, idx, pp, stack = eval_setup
+        for head, k_shot in (("proto-eucl", 1), ("knn-eucl", 3), ("linear", 2)):
+            proto = Protocol(n_way=4, k_shot=k_shot, n_episodes=2, n_seeds=1,
+                             n_query_per_class=5, head=head, base_seed=3)
+            empty = evaluate([], pp, ds, idx, proto, raw_space=True)
+            one = evaluate([stack], pp, ds, idx, proto, raw_space=True)
+            assert empty.rows == one.rows
+
+    def test_raw_space_finetune_rejected(self, eval_setup):
+        ds, idx, pp, stack = eval_setup
+        proto = Protocol(n_way=4, k_shot=2, n_episodes=1, n_seeds=1,
+                         n_query_per_class=5, head="finetune")
+        for members in ([], [stack]):
+            with pytest.raises(HeadError, match="needs a trained stack"):
+                evaluate(members, pp, ds, idx, proto, raw_space=True)
 
     def test_bitwise_reproducible(self, eval_setup):
         ds, idx, pp, stack = eval_setup

@@ -47,9 +47,9 @@ from .pretrain import (
     PretrainConfig,
     PretrainReport,
     init_stack,
+    nearest_neighbors,
     pretrain,
     pretrain_ensemble,
-    target_nearest_neighbor,
     train_step,
 )
 from .synthetic import make_gaussian_dataset
@@ -106,6 +106,7 @@ __all__ = [
     "make_gaussian_dataset",
     "make_views",
     "mismatch_trial",
+    "nearest_neighbors",
     "neighbor_fraction_curve",
     "pretrain",
     "pretrain_ensemble",
@@ -114,6 +115,5 @@ __all__ = [
     "sample_mask",
     "save_checkpoint",
     "split",
-    "target_nearest_neighbor",
     "train_step",
 ]

@@ -11,23 +11,8 @@ import numpy as np
 
 from .errors import AnalysisError
 from .fewshot import embed
-from .preprocess import Preprocessor, sample_mask
-from .pretrain import EncoderStack
-
-
-def _topk_neighbors(points: np.ndarray, k: int, block: int = 256) -> np.ndarray:
-    """Indices of the k nearest rows per row (Euclidean, self excluded)."""
-    n = points.shape[0]
-    sq = np.square(points).sum(axis=1)
-    out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = sq[start:stop, None] - 2.0 * points[start:stop] @ points.T + sq[None, :]
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        order = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1, kind="stable")
-        out[start:stop] = np.take_along_axis(part, order, axis=1)
-    return out
+from .preprocess import Preprocessor, make_views, sample_mask
+from .pretrain import EncoderStack, nearest_neighbors
 
 
 def neighbor_fraction_curve(
@@ -58,9 +43,7 @@ def neighbor_fraction_curve(
     denom = np.arange(1, k_max + 1)
     accum = np.zeros(k_max)
     for _ in range(n_separations):
-        mask = sample_mask(pp, ratio, rng)
-        target = x * mask.encoded_mask
-        nbrs = _topk_neighbors(target, k_max)
+        nbrs = nearest_neighbors(make_views(x, sample_mask(pp, ratio, rng))[1], k_max)
         same = labels[nbrs] == labels[:, None]
         accum += (np.cumsum(same, axis=1) / denom).mean(axis=0)
     return accum / n_separations
@@ -101,9 +84,9 @@ def latent_consistency(
     if labels.shape[0] != x.shape[0]:
         raise AnalysisError("labels must match the row count")
 
-    input_counts = (labels[_topk_neighbors(x, k)] == labels[:, None]).sum(axis=1)
+    input_counts = (labels[nearest_neighbors(x, k)] == labels[:, None]).sum(axis=1)
     latent = embed(stack, x).vectors
-    latent_counts = (labels[_topk_neighbors(latent, k)] == labels[:, None]).sum(axis=1)
+    latent_counts = (labels[nearest_neighbors(latent, k)] == labels[:, None]).sum(axis=1)
 
     sizes = np.zeros(k + 1, dtype=np.int64)
     mean_latent = np.full(k + 1, np.nan)

@@ -121,13 +121,15 @@ def _load_ensemble(ckpt_dir: Path) -> tuple[list[EncoderStack], Preprocessor]:
     paths = sorted(ckpt_dir.glob("*.ckpt"))
     if not paths:
         raise ConfigError(f"no .ckpt files under {ckpt_dir}")
-    stacks = []
-    pp = None
-    for path in paths:
-        stack, loaded_pp = load_checkpoint(path)
-        stacks.append(stack)
-        pp = pp or loaded_pp
-    return stacks, pp
+    members = [load_checkpoint(path) for path in paths]
+    for path, (_, pp) in zip(paths, members):
+        if _fitted_stats(pp) != _fitted_stats(members[0][1]):
+            raise ConfigError(f"{path.name} and {paths[0].name} have different preprocessors")
+    return [stack for stack, _ in members], members[0][1]
+
+
+def _fitted_stats(pp: Preprocessor) -> tuple:
+    return pp.kinds, pp.ranges, pp.normalize, pp.cardinalities, pp.means.tolist(), pp.stds.tolist()
 
 
 def _protocol(cfg: RunConfig, ds: Dataset, head: str | None = None) -> Protocol:

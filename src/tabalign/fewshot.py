@@ -18,7 +18,7 @@ from .data import Dataset, Episode, SplitIndices, sample_episode
 from .errors import DimensionError, HeadError
 from .nncore import AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
 from .preprocess import Preprocessor, encode
-from .pretrain import EncoderStack
+from .pretrain import EncoderStack, nearest_neighbors
 
 HEADS = ("proto-cos", "proto-eucl", "linear", "knn-cos", "knn-eucl", "finetune")
 
@@ -227,29 +227,20 @@ def linear_probe_probs(
 def knn_probs(
     support: EmbeddingSet, query: EmbeddingSet, k: int, metric: str = "euclidean"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vote shares over the k nearest support embeddings."""
+    """Vote shares over the k nearest support embeddings (of L2-normalized rows for cosine)."""
     classes = _check_support(support.labels)
     if k < 1:
         raise HeadError(f"k must be >= 1, got {k}")
     if k > len(support.vectors):
         raise HeadError(f"k={k} exceeds support size {len(support.vectors)}")
-    if metric == "euclidean":
-        d = (
-            np.square(query.vectors).sum(axis=1, keepdims=True)
-            - 2.0 * query.vectors @ support.vectors.T
-            + np.square(support.vectors).sum(axis=1)
-        )
-    elif metric == "cosine":
-        d = 1.0 - _normalize_rows(query.vectors) @ _normalize_rows(support.vectors).T
-    else:
+    sup, qry = support.vectors, query.vectors
+    if metric == "cosine":
+        sup, qry = _normalize_rows(sup), _normalize_rows(qry)
+    elif metric != "euclidean":
         raise HeadError(f"unknown knn metric {metric!r}")
-    # Stable sort keeps distance ties ordered by support index.
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    nearest = nearest_neighbors(sup, k, queries=qry)
     y = np.searchsorted(classes, support.labels)
-    probs = np.zeros((len(query.vectors), len(classes)))
-    for i in range(len(query.vectors)):
-        probs[i] = np.bincount(y[nearest[i]], minlength=len(classes)) / k
-    return classes, probs
+    return classes, (y[nearest][:, :, None] == np.arange(len(classes))).sum(axis=1) / k
 
 
 def finetune_probs(

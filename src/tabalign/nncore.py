@@ -156,12 +156,6 @@ def infonce_loss(
     losses = -(logits[np.arange(b), pos] - row_max) + np.log(denom)
     loss = float(losses.mean())
 
-    # Loss is bounded because similarities live in [-1, 1]; non-finite rows
-    # are left for the caller's abort path.
-    if np.all(np.isfinite(losses)):
-        bound = math.log(b - 1) + 2.0 / temperature
-        assert losses.min() >= -1e-9 and losses.max() <= bound + 1e-9
-
     softmax = expl / denom[:, None]
     coeff = softmax / (temperature * b)
     coeff[np.arange(b), pos] -= 1.0 / (temperature * b)

@@ -138,31 +138,60 @@ def init_stack(
     return stack
 
 
-def target_nearest_neighbor(t: np.ndarray, i: int) -> int:
-    """Index of the row closest to row i in Euclidean distance, self excluded.
+# Elements per Gram block (8 MB in float64): a batch of 1024 is one block.
+_BLOCK_ELEMENTS = 1 << 20
 
-    Ties break to the smallest index.
+
+def nearest_neighbors(points: np.ndarray, k: int, queries: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the k nearest points of each query row, nearest first, as (n_queries, k).
+
+    Distance is the exact ``np.square(points[j] - q).sum()`` of finite rows, in the points'
+    dtype; ties go to the smallest index. Without ``queries`` each point queries the others.
     """
-    t = np.asarray(t)
-    if t.shape[0] < 2:
-        raise TrainingError("nearest-neighbor search needs a batch of >= 2")
-    d2 = np.square(t - t[i]).sum(axis=1)
-    d2[i] = np.inf
-    return int(np.argmin(d2))
+    points = np.asarray(points)
+    self_search = queries is None
+    queries = points if self_search else np.asarray(queries, dtype=points.dtype)
+    n, d = points.shape
+    if not 1 <= k <= n - self_search:
+        raise ValueError(f"k={k} is out of range for {n} points")
+    # Gram distances |q|^2 - 2 q.p + |p|^2 of centered rows pick candidates.
+    # With u = eps/2, the three length-d sums err by d*u (|q| + |p|)^2 in all,
+    # the two additions and the centering by 4u of that, and the exact
+    # expression by (d + 2)u of its value, at most that same square. Gram and
+    # exact thus differ by under (2d + 8)u (|q| + max |p|)^2 = slack / 2 (2u
+    # spare for rounded norms), so rows exactly as near as the k-th best have
+    # Gram distance within kth + slack; only those are scored exactly.
+    center = points.mean(axis=0)
+    p, q = points - center, queries - center
+    sq_p, sq_q = np.einsum("ij,ij->i", p, p), np.einsum("ij,ij->i", q, q)
+    slack = (2 * d + 8) * np.finfo(points.dtype).eps * (np.sqrt(sq_q) + np.sqrt(sq_p.max())) ** 2
+
+    out = [np.empty((0, k), dtype=np.int64)]
+    block, step = max(1, _BLOCK_ELEMENTS // n), max(1, _BLOCK_ELEMENTS // max(d, 1))
+    for start in range(0, len(q), block):
+        g = q[start : start + block] @ (-2.0 * p.T)
+        g += sq_q[start : start + block, None]
+        g += sq_p
+        if self_search:
+            np.fill_diagonal(g[:, start:], np.inf)
+        kth = g.min(axis=1) if k == 1 else np.partition(g, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(g <= (kth + slack[start : start + block])[:, None])
+        exact = np.empty(len(rows), dtype=points.dtype)
+        for s in range(0, len(rows), step):
+            r, c = rows[s : s + step] + start, cols[s : s + step]
+            exact[s : s + step] = np.square(points[c] - queries[r]).sum(axis=1)
+        # Candidates come in (row, index) order, which the stable sort keeps for ties.
+        order = np.lexsort((exact, rows))
+        first = np.searchsorted(rows, np.arange(len(g)))
+        out.append(cols[order[first[:, None] + np.arange(k)]])
+    return np.concatenate(out)
 
 
 def nearest_neighbor_indices(t: np.ndarray) -> np.ndarray:
-    """Nearest neighbor of every row (O(B^2) exact scan, ties to smallest index)."""
-    t = np.asarray(t)
-    b = t.shape[0]
-    if b < 2:
+    """Nearest neighbor of every row (O(B^2) exact search, ties to smallest index)."""
+    if len(t) < 2:
         raise TrainingError("nearest-neighbor search needs a batch of >= 2")
-    out = np.empty(b, dtype=np.int64)
-    for i in range(b):
-        d2 = np.square(t - t[i]).sum(axis=1)
-        d2[i] = np.inf
-        out[i] = np.argmin(d2)
-    return out
+    return nearest_neighbors(t, 1)[:, 0]
 
 
 def _batch_views(

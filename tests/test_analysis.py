@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
+import importlib
 
 import numpy as np
 import pytest
 
 from tabalign.analysis import (
-    _topk_neighbors,
     latent_consistency,
     neighbor_fraction_curve,
     write_consistency_csv,
@@ -18,7 +18,7 @@ from tabalign.data import NUMERICAL, ColumnSchema, Dataset
 from tabalign.errors import AnalysisError
 from tabalign.nncore import DenseLayer
 from tabalign.preprocess import encode, fit
-from tabalign.pretrain import PretrainConfig, init_stack, pretrain
+from tabalign.pretrain import PretrainConfig, init_stack, nearest_neighbors, pretrain
 from tabalign.synthetic import make_gaussian_dataset
 
 
@@ -157,19 +157,20 @@ class TestLatentConsistency:
 class TestTopK:
     def test_self_exclusion_even_with_duplicates(self):
         rows = np.vstack([np.ones((5, 3)), np.zeros((5, 3))])
-        nbrs = _topk_neighbors(rows, 4)
+        nbrs = nearest_neighbors(rows, 4)
         for i in range(10):
             assert i not in nbrs[i]
 
-    def test_matches_full_sort(self):
+    def test_matches_full_sort(self, monkeypatch):
+        # Seven rows per Gram block: the 50 rows span eight blocks.
+        monkeypatch.setattr(importlib.import_module("tabalign.pretrain"), "_BLOCK_ELEMENTS", 7 * 50)
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(50, 4))
-        nbrs = _topk_neighbors(pts, 6, block=7)
+        nbrs = nearest_neighbors(pts, 6)
         for i in range(50):
             d = np.square(pts - pts[i]).sum(axis=1)
             d[i] = np.inf
-            expected = np.argsort(d, kind="stable")[:6]
-            np.testing.assert_array_equal(np.sort(nbrs[i]), np.sort(expected))
+            np.testing.assert_array_equal(nbrs[i], np.argsort(d, kind="stable")[:6])
 
 
 class TestCsvWriters:

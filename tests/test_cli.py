@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tabalign.checkpoint import load_checkpoint
+from tabalign.checkpoint import load_checkpoint, save_checkpoint
 from tabalign.cli import main
 from tabalign.data import load_csv
+from tabalign.preprocess import fit
+from tabalign.pretrain import PretrainConfig, init_stack
 
 pytestmark = pytest.mark.usefixtures("workdir")
 
@@ -211,6 +213,18 @@ class TestEvalCommand:
         rc = main(
             ["eval", str(empty), "--config", str(workdir / "small.ini")]
         )
+        assert rc == 2
+
+    def test_mismatched_preprocessors_are_usage_error(self, workdir):
+        ds = load_csv(workdir / "synth.csv", workdir / "synth.schema.yaml")
+        cfg = PretrainConfig(hidden_dim=16, embed_dim=8, projector_dim=8)
+        mixed = workdir / "mixed-pp"
+        mixed.mkdir()
+        for k, rows in enumerate((np.arange(0, 120), np.arange(120, 240))):
+            pp = fit(ds, rows)
+            stack = init_stack(pp.encoded_dim, 0.2, seed=k, cfg=cfg)
+            save_checkpoint(mixed / f"member-{k:02d}.ckpt", stack, pp)
+        rc = main(["eval", str(mixed), "--config", str(workdir / "small.ini")])
         assert rc == 2
 
 

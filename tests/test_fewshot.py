@@ -215,6 +215,16 @@ class TestKnn:
                 votes = np.bincount(sup.labels[nearest], minlength=3)
                 assert preds[i] == int(np.argmax(votes))
 
+    def test_one_nn_far_from_origin(self):
+        """Rows at offset 1e6 with spread 1e-2 vote their exact nearest label."""
+        rng = np.random.default_rng(7)
+        sup = _labeled(1e6 + 1e-2 * rng.normal(size=(20, 8)), np.arange(20) % 4)
+        qry = EmbeddingSet(1e6 + 1e-2 * rng.normal(size=(60, 8)))
+        preds = _predict(knn_probs, sup, qry, k=1)
+        for i in range(60):
+            d = np.square(sup.vectors - qry.vectors[i]).sum(axis=1)
+            assert preds[i] == sup.labels[np.argmin(d)]
+
     def test_bad_k_rejected(self):
         sup = _labeled([[0.0], [1.0]], [0, 1])
         qry = EmbeddingSet(np.array([[0.5]]))

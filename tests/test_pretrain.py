@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabalign.checkpoint import load_checkpoint, save_checkpoint
 from tabalign.data import split
@@ -15,12 +20,15 @@ from tabalign.pretrain import (
     init_stack,
     member_seed,
     nearest_neighbor_indices,
+    nearest_neighbors,
     pretrain,
     pretrain_ensemble,
-    target_nearest_neighbor,
     train_step,
 )
 from tabalign.synthetic import make_gaussian_dataset
+
+# The package re-exports the function ``pretrain``, which shadows the module.
+pretrain_mod = importlib.import_module("tabalign.pretrain")
 
 SMALL_CFG = PretrainConfig(
     max_epochs=5,
@@ -43,15 +51,15 @@ def encoded_gauss():
 class TestTargetNearestNeighbor:
     def test_by_inspection(self):
         t = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-        assert target_nearest_neighbor(t, 0) == 1
+        assert nearest_neighbor_indices(t)[0] == 1
 
     def test_duplicate_row_wins(self):
         t = np.array([[1.0, 1.0], [3.0, 3.0], [1.0, 1.0]])
-        assert target_nearest_neighbor(t, 0) == 2
+        assert nearest_neighbor_indices(t)[0] == 2
 
     def test_tie_breaks_to_smallest_index(self):
         t = np.array([[0.0], [1.0], [-1.0], [1.0]])
-        assert target_nearest_neighbor(t, 0) == 1
+        assert nearest_neighbor_indices(t)[0] == 1
 
     def test_matches_independent_scan(self):
         """Exhaustive double-loop oracle on random batches."""
@@ -59,23 +67,67 @@ class TestTargetNearestNeighbor:
         for _ in range(25):
             b = int(rng.integers(2, 33))
             t = rng.normal(size=(b, int(rng.integers(1, 10))))
-            expected = []
-            for i in range(b):
-                best, best_d = -1, np.inf
-                for j in range(b):
-                    if j == i:
-                        continue
-                    d = float(np.sum((t[i] - t[j]) ** 2))
-                    if d < best_d:
-                        best, best_d = j, d
-                expected.append(best)
-            np.testing.assert_array_equal(nearest_neighbor_indices(t), expected)
-            for i in range(b):
-                assert target_nearest_neighbor(t, i) == expected[i]
+            np.testing.assert_array_equal(nearest_neighbor_indices(t), _oracle(t, 1)[:, 0])
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(TrainingError):
             nearest_neighbor_indices(np.ones((1, 3)))
+
+
+def _oracle(points, k, queries=None):
+    """k nearest points per query by a double loop; ties to the smallest index."""
+    out = []
+    for i, q in enumerate(points if queries is None else queries):
+        dists = [
+            (np.square(p - q).sum(), j)
+            for j, p in enumerate(points)
+            if queries is not None or j != i
+        ]
+        out.append([j for _, j in sorted(dists)[:k]])
+    return np.array(out, dtype=np.int64)
+
+
+class TestNearestNeighbors:
+    def test_matches_stable_argsort_far_from_origin(self):
+        """Rows at offset 1e6 with spread 1e-2: Gram distances alone lose the order."""
+        rng = np.random.default_rng(4)
+        x = 1e6 + 1e-2 * rng.normal(size=(64, 8))
+        got = nearest_neighbors(x, 5)
+        for i in range(len(x)):
+            d = np.square(x - x[i]).sum(axis=1)
+            d[i] = np.inf
+            np.testing.assert_array_equal(got[i], np.argsort(d, kind="stable")[:5])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_double_loop_oracle(self, data):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        k = data.draw(st.sampled_from([1, 3]))
+        n = data.draw(st.integers(k + 1, 30))
+        d = data.draw(st.integers(1, 5))
+        values = data.draw(
+            st.sampled_from([st.integers(-2, 2), st.floats(-100.0, 100.0, width=32)])
+        )
+        offset = data.draw(st.sampled_from([0.0, 1e6]))
+
+        def rows(m):
+            cells = data.draw(st.lists(values, min_size=m * d, max_size=m * d))
+            return (offset + np.array(cells, dtype=np.float64).reshape(m, d)).astype(dtype)
+
+        points = rows(n)
+        queries = rows(data.draw(st.integers(2, 12))) if data.draw(st.booleans()) else None
+        n_queries = n if queries is None else len(queries)
+        # Fewer query rows per block than queries: the search spans two or more blocks.
+        block_rows = data.draw(st.integers(1, n_queries - 1))
+        with mock.patch.object(pretrain_mod, "_BLOCK_ELEMENTS", block_rows * n):
+            got = nearest_neighbors(points, k, queries)
+        np.testing.assert_array_equal(got, _oracle(points, k, queries))
+
+    def test_k_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            nearest_neighbors(np.ones((3, 2)), 3)
+        with pytest.raises(ValueError):
+            nearest_neighbors(np.ones((3, 2)), 4, queries=np.ones((1, 2)))
 
 
 class TestTrainStep:

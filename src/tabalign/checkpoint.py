@@ -9,6 +9,7 @@ ranges).
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +23,17 @@ from .pretrain import RATIO_RANDOM, EncoderStack, PretrainConfig
 
 MAGIC = b"TBALCKPT"
 VERSION = 1
+
+_TENSOR_NAMES = (
+    "encoder W1",
+    "encoder b1",
+    "encoder W2",
+    "encoder b2",
+    "projector W1",
+    "projector b1",
+    "projector W2",
+    "projector b2",
+)
 
 _KIND_CODE = {NUMERICAL: 0, CATEGORICAL: 1}
 _CODE_KIND = {0: NUMERICAL, 1: CATEGORICAL}
@@ -55,7 +67,12 @@ class _Reader:
 
 
 def save_checkpoint(path: str | Path, stack: EncoderStack, pp: Preprocessor) -> None:
-    """Serialize a stack and its preprocessor; parameters are written as float64."""
+    """Serialize a stack and its preprocessor; parameters are written as float64.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename: a failed write leaves an existing
+    checkpoint as it was and no temporary file behind.
+    """
     enc1, enc2 = stack.encoder
     proj1, proj2 = stack.projector
     parts = [MAGIC, struct.pack("<I", VERSION)]
@@ -88,13 +105,26 @@ def save_checkpoint(path: str | Path, stack: EncoderStack, pp: Preprocessor) -> 
     for start, stop in pp.ranges:
         parts.append(struct.pack("<II", start, stop))
 
-    Path(path).write_bytes(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as handle:
+            handle.write(b"".join(parts))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(
     path: str | Path, cfg: PretrainConfig | None = None
 ) -> tuple[EncoderStack, Preprocessor]:
-    """Load a checkpoint. The returned stack carries a fresh optimizer state."""
+    """Load a checkpoint. The returned stack carries a fresh optimizer state.
+
+    Raises :class:`CheckpointError` on a malformed file or a parameter tensor
+    holding NaN or infinity.
+    """
     buf = Path(path).read_bytes()
     r = _Reader(buf)
     if r.take("8s")[0] != MAGIC:
@@ -117,6 +147,9 @@ def load_checkpoint(
         (proj_out,),
     ]
     tensors = [r.tensor(s) for s in shapes]
+    for name, tensor in zip(_TENSOR_NAMES, tensors):
+        if not np.all(np.isfinite(tensor)):
+            raise CheckpointError(f"{path}: {name} holds non-finite values")
     conditioned = proj_in == enc_out + d
     if not conditioned and proj_in != enc_out:
         raise CheckpointError(

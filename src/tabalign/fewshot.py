@@ -118,9 +118,10 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def prototype_probs(
@@ -158,14 +159,19 @@ def _init_probe(
     return rng.uniform(-bound, bound, size=(n_way, embed_dim)), np.zeros(n_way)
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient with respect to the logits."""
-    n = logits.shape[0]
-    p = _softmax(logits)
-    loss = float(-np.log(p[np.arange(n), y] + 1e-300).mean())
-    d = p.copy()
-    d[np.arange(n), y] -= 1.0
-    return loss, d / n
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy of each probe and its gradient with respect to the logits.
+
+    ``logits`` is (M, n, C) for M probes sharing the labels ``y``; returns (M,)
+    losses and (M, n, C) gradients.
+    """
+    n = logits.shape[1]
+    rows = np.arange(n)
+    d = _softmax(logits)
+    loss = -np.log(d[:, rows, y] + 1e-300).sum(axis=1) / n
+    d[:, rows, y] -= 1.0
+    d /= n
+    return loss, d
 
 
 def _fit_probe(
@@ -175,53 +181,100 @@ def _fit_probe(
     cfg: ProbeConfig,
     encoder: list[DenseLayer] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train an affine head ``(w, b)`` on ``x`` with full-batch Adam.
+    """Train a stack of affine heads ``(w, b)`` on ``x`` with full-batch Adam.
 
-    Without ``encoder``, ``x`` holds frozen embeddings. With it, ``x`` holds
+    ``x`` is (M, n, d). Without ``encoder``, ``x[m]`` holds member m's frozen
+    embeddings and M probes train together. With it, M is 1, ``x[0]`` holds
     encoder inputs and the encoder's layers train with the head, in place.
-    Training stops after ``cfg.max_epochs`` steps, or once the loss has
-    changed by less than ``cfg.tol`` for ``cfg.tol_patience`` consecutive
-    steps.
+    Every probe starts from the same ``cfg.seed`` draw. A probe stops after
+    ``cfg.max_epochs`` steps, or once its loss has changed by less than
+    ``cfg.tol`` for ``cfg.tol_patience`` consecutive steps; it then leaves the
+    stack, so each probe ends with the bits it would have if trained alone.
+    Returns (M, C, E) weights and (M, C) biases.
     """
     rng = np.random.default_rng(cfg.seed)
-    dim = x.shape[1] if encoder is None else encoder[-1].out_dim
-    w, b = _init_probe(dim, n_way, rng)
-    params = [w, b] + [t for layer in encoder or () for t in (layer.weight, layer.bias)]
-    state = AdamState.for_params(params, lr=cfg.learning_rate)
+    n_probes = x.shape[0]
+    dim = x.shape[2] if encoder is None else encoder[-1].out_dim
+    w0, b0 = _init_probe(dim, n_way, rng)
+    # Each probe's w and b are views into one row of ``flat``, so Adam updates
+    # one tensor per step; ``grad`` is laid out the same way.
+    flat = np.empty((n_probes, n_way * dim + n_way))
+    flat[:, : n_way * dim] = w0.ravel()
+    flat[:, n_way * dim :] = b0
+    grad = np.empty_like(flat)
 
-    h = x
-    prev = np.inf
-    steady = 0
+    def views(buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return buffer[:, : n_way * dim].reshape(-1, n_way, dim), buffer[:, n_way * dim :]
+
+    params = [flat] + [t for layer in encoder or () for t in (layer.weight, layer.bias)]
+    state = AdamState.for_params(params, lr=cfg.learning_rate)
+    w, b = views(flat)
+    grad_w, grad_b = views(grad)
+
+    w_out = np.empty((n_probes, n_way, dim))
+    b_out = np.empty((n_probes, n_way))
+    live = np.arange(n_probes)
+    # Frozen float32 embeddings are upcast once here rather than in each
+    # matmul against the float64 probes; the products are the same.
+    h = np.asarray(x, dtype=flat.dtype)
+    prev = np.full(n_probes, np.inf)
+    steady = np.zeros(n_probes, dtype=np.int64)
     for _ in range(cfg.max_epochs):
         if encoder is not None:
-            h, cache = mlp_forward(encoder, x)
-        loss, d_logits = _cross_entropy(h @ w.T + b, y)
-        if not np.isfinite(loss):
+            h, cache = mlp_forward(encoder, x[0])
+            h = h[None]
+        loss, d_logits = _cross_entropy(np.matmul(h, w.swapaxes(1, 2)) + b[:, None], y)
+        if not np.isfinite(loss).all():
             raise HeadError("non-finite probe loss")
-        grads = [d_logits.T @ h, d_logits.sum(axis=0)]
+        np.matmul(d_logits.swapaxes(1, 2), h, out=grad_w)
+        np.sum(d_logits, axis=1, out=grad_b)
+        grads = [grad]
         if encoder is not None:
-            mlp_backward(encoder, cache, (d_logits @ w).astype(x.dtype, copy=False))
+            mlp_backward(encoder, cache, (d_logits[0] @ w[0]).astype(x.dtype, copy=False))
             grads += [g for layer in encoder for g in (layer.grad_weight, layer.grad_bias)]
         adam_step(params, grads, state)
-        if abs(prev - loss) < cfg.tol:
-            steady += 1
-            if steady >= cfg.tol_patience:
-                break
-        else:
-            steady = 0
+        steady = np.where(np.abs(prev - loss) < cfg.tol, steady + 1, 0)
         prev = loss
-    return w, b
+        stop = steady >= cfg.tol_patience
+        if stop.any():
+            w_out[live[stop]] = w[stop]
+            b_out[live[stop]] = b[stop]
+            if stop.all():
+                return w_out, b_out
+            # The probes left have all taken the same number of steps, so
+            # Adam's one step counter stays right for each of them.
+            keep = ~stop
+            flat, grad, h = flat[keep], grad[keep], h[keep]
+            state.m[0], state.v[0] = state.m[0][keep], state.v[0][keep]
+            params[0] = flat
+            w, b = views(flat)
+            grad_w, grad_b = views(grad)
+            live, prev, steady = live[keep], prev[keep], steady[keep]
+    w_out[live] = w
+    b_out[live] = b
+    return w_out, b_out
 
 
 def linear_probe_probs(
     support: EmbeddingSet, query: EmbeddingSet, cfg: ProbeConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train an affine classifier on frozen support embeddings; return query probabilities."""
+    """Train an affine classifier on frozen support embeddings; return query probabilities.
+
+    With (n, E) vectors the probabilities are (n_query, C). With a leading
+    member axis, (M, n, E) support and (M, n_query, E) query vectors, one
+    probe per member trains in a single stacked loop, each stopping where it
+    would alone, and the probabilities are (M, n_query, C).
+    """
     cfg = cfg or ProbeConfig()
     classes = _check_support(support.labels)
     y = np.searchsorted(classes, support.labels)
-    w, b = _fit_probe(support.vectors, y, len(classes), cfg)
-    return classes, _softmax(query.vectors @ w.T + b)
+    sup, qry = np.asarray(support.vectors), np.asarray(query.vectors)
+    single = sup.ndim == 2
+    if single:
+        sup, qry = sup[None], qry[None]
+    w, b = _fit_probe(sup, y, len(classes), cfg)
+    probs = _softmax(np.matmul(qry, w.swapaxes(1, 2)) + b[:, None])
+    return classes, probs[0] if single else probs
 
 
 def knn_probs(
@@ -260,41 +313,70 @@ def finetune_probs(
     y = np.searchsorted(classes, support_y)
     work = stack.clone()
     dtype = work.cfg.numpy_dtype()
-    w, b = _fit_probe(
-        np.asarray(support_x, dtype=dtype), y, len(classes), cfg, work.encoder
+    (w,), (b,) = _fit_probe(
+        np.asarray(support_x, dtype=dtype)[None], y, len(classes), cfg, work.encoder
     )
     h_query, _ = mlp_forward(work.encoder, np.asarray(query_x, dtype=dtype))
     return classes, _softmax(h_query @ w.T + b)
 
 
+def _frozen_probs(
+    head: str, support: EmbeddingSet, query: EmbeddingSet, cfg: ProbeConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dispatch a head, other than the linear probe, that runs on frozen vectors."""
+    if head == "proto-cos":
+        return prototype_probs(support, query, "cosine")
+    if head == "proto-eucl":
+        return prototype_probs(support, query, "euclidean")
+    if head == "knn-cos":
+        return knn_probs(support, query, cfg.knn_k, "cosine")
+    if head == "knn-eucl":
+        return knn_probs(support, query, cfg.knn_k, "euclidean")
+    raise HeadError(f"unknown head {head!r}")
+
+
 def _member_probs(
-    member: EncoderStack | None,
+    members: list[EncoderStack | None],
     support_x: np.ndarray,
     support_y: np.ndarray,
     query_x: np.ndarray,
     head: str,
     cfg: ProbeConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sorted class ids and each member's (n_query, n_way) probabilities.
+
+    Every member is embedded once. The linear probes of members with equal
+    embedding width train together as one stack.
+    """
     if head == "finetune":
-        if member is None:
+        if any(member is None for member in members):
             raise HeadError(f"head {head!r} needs a trained stack")
-        return finetune_probs(member, support_x, support_y, query_x, cfg)
-    if member is None:
-        sup, qry = EmbeddingSet(support_x), EmbeddingSet(query_x)
-    else:
-        sup, qry = embed(member, support_x), embed(member, query_x)
-    sup.labels = np.asarray(support_y)
-    if head == "proto-cos":
-        return prototype_probs(sup, qry, "cosine")
-    if head == "proto-eucl":
-        return prototype_probs(sup, qry, "euclidean")
-    if head == "linear":
-        return linear_probe_probs(sup, qry, cfg)
-    if head == "knn-cos":
-        return knn_probs(sup, qry, cfg.knn_k, "cosine")
-    if head == "knn-eucl":
-        return knn_probs(sup, qry, cfg.knn_k, "euclidean")
-    raise HeadError(f"unknown head {head!r}")
+        results = [finetune_probs(m, support_x, support_y, query_x, cfg) for m in members]
+        return results[0][0], [probs for _, probs in results]
+    vectors = [
+        (support_x, query_x)
+        if member is None
+        else (embed(member, support_x).vectors, embed(member, query_x).vectors)
+        for member in members
+    ]
+    labels = np.asarray(support_y)
+    if head != "linear":
+        results = [
+            _frozen_probs(head, EmbeddingSet(sup, labels), EmbeddingSet(qry), cfg)
+            for sup, qry in vectors
+        ]
+        return results[0][0], [probs for _, probs in results]
+    probs: dict[int, np.ndarray] = {}
+    widths = [sup.shape[1] for sup, _ in vectors]
+    for width in dict.fromkeys(widths):
+        group = [i for i, w in enumerate(widths) if w == width]
+        classes, stacked = linear_probe_probs(
+            EmbeddingSet(np.stack([vectors[i][0] for i in group]), labels),
+            EmbeddingSet(np.stack([vectors[i][1] for i in group])),
+            cfg,
+        )
+        probs.update(zip(group, stacked))
+    return classes, [probs[i] for i in range(len(members))]
 
 
 def ensemble_predict(
@@ -312,17 +394,12 @@ def ensemble_predict(
     """
     if not members:
         raise HeadError("ensemble needs at least one member")
-    cfg = cfg or ProbeConfig()
-    total: np.ndarray | None = None
-    classes: np.ndarray | None = None
-    for member in members:
-        member_classes, probs = _member_probs(
-            member, support_x, support_y, query_x, head, cfg
-        )
-        if total is None:
-            classes, total = member_classes, probs
-        else:
-            total = total + probs
+    classes, probs = _member_probs(
+        members, support_x, support_y, query_x, head, cfg or ProbeConfig()
+    )
+    total = probs[0]
+    for member_probs in probs[1:]:
+        total = total + member_probs
     return classes[np.argmax(total / len(members), axis=1)]
 
 

@@ -7,6 +7,7 @@ import csv
 import numpy as np
 import pytest
 
+from tabalign import fewshot
 from tabalign.data import split
 from tabalign.errors import DimensionError, HeadError
 from tabalign.fewshot import (
@@ -23,7 +24,7 @@ from tabalign.fewshot import (
     write_report_csv,
     write_summary_csv,
 )
-from tabalign.fewshot import _cross_entropy
+from tabalign.fewshot import _cross_entropy, _fit_probe, _member_probs
 from tabalign.preprocess import encode, fit
 from tabalign.pretrain import PretrainConfig, init_stack
 from tabalign.synthetic import make_gaussian_dataset
@@ -31,6 +32,7 @@ from tabalign.synthetic import make_gaussian_dataset
 from conftest import central_diff_grads, max_rel_error
 
 TINY_CFG = PretrainConfig(hidden_dim=16, embed_dim=8, projector_dim=8)
+WIDE_CFG = PretrainConfig(hidden_dim=16, embed_dim=12, projector_dim=8)
 FAST_PROBE = ProbeConfig(max_epochs=800, seed=0)
 
 
@@ -163,20 +165,82 @@ class TestLinearProbe:
         np.testing.assert_array_equal(preds_q, preds_s)
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
+        """Stacked probes: the summed loss's gradient splits per probe, and each
+        slice is the single-probe gradient."""
         rng = np.random.default_rng(9)
         h = rng.normal(size=(12, 5))
         y = rng.integers(3, size=12)
-        w = rng.normal(size=(3, 5))
-        b = rng.normal(size=3)
+        for n_probes in (1, 2):
+            w = rng.normal(size=(n_probes, 3, 5))
+            b = rng.normal(size=(n_probes, 3))
 
-        def loss():
-            return _cross_entropy(h @ w.T + b, y)[0]
+            def logits():
+                return np.matmul(h, w.swapaxes(1, 2)) + b[:, None]
 
-        _, d_logits = _cross_entropy(h @ w.T + b, y)
-        analytic = [d_logits.T @ h, d_logits.sum(axis=0)]
-        numeric = central_diff_grads(loss, [w, b])
-        for a, n in zip(analytic, numeric):
-            assert max_rel_error(a, n) < 1e-5
+            def loss():
+                return _cross_entropy(logits(), y)[0].sum()
+
+            losses, d_logits = _cross_entropy(logits(), y)
+            assert losses.shape == (n_probes,)
+            analytic = [np.matmul(d_logits.swapaxes(1, 2), h), d_logits.sum(axis=1)]
+            numeric = central_diff_grads(loss, [w, b])
+            for a, n in zip(analytic, numeric):
+                assert max_rel_error(a, n) < 1e-5
+            for m in range(n_probes):
+                solo_loss, solo_d = _cross_entropy(logits()[m : m + 1], y)
+                assert solo_loss.tobytes() == losses[m : m + 1].tobytes()
+                assert solo_d.tobytes() == d_logits[m : m + 1].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", [32, PretrainConfig().embed_dim])
+    def test_stacked_fit_matches_solo_fits(self, dtype, width, monkeypatch):
+        """Each probe in a stack ends with the bits it has when trained alone,
+        and the stack takes as many Adam steps as its slowest probe. The probes
+        stop at different steps: far-apart classes stop on ``tol``, and a
+        support of pure noise runs to the cap."""
+        steps = [0]
+        adam_step = fewshot.adam_step
+
+        def counting(*args):
+            steps[0] += 1
+            return adam_step(*args)
+
+        monkeypatch.setattr(fewshot, "adam_step", counting)
+        cfg = ProbeConfig(max_epochs=1000, seed=3)
+        rng = np.random.default_rng(width)
+        y = np.repeat(np.arange(4), 5)
+        supports, queries = [], []
+        for separation in (1000.0, 0.0, 3000.0):
+            centers = rng.normal(size=(4, width))
+            centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
+            supports.append((centers[y] + rng.normal(size=(20, width))).astype(dtype))
+            queries.append(rng.normal(scale=30.0, size=(9, width)).astype(dtype))
+
+        solo, solo_steps = [], []
+        for sup, qry in zip(supports, queries):
+            steps[0] = 0
+            w, b = _fit_probe(sup[None], y, 4, cfg)
+            solo_steps.append(steps[0])
+            probs = linear_probe_probs(EmbeddingSet(sup, y), EmbeddingSet(qry), cfg)[1]
+            solo.append((w[0], b[0], probs))
+        assert solo_steps[0] < cfg.max_epochs // 2
+        assert solo_steps[1] == cfg.max_epochs
+        assert len(set(solo_steps)) == 3
+
+        for n_probes in (1, 2, 3):
+            steps[0] = 0
+            w, b = _fit_probe(np.stack(supports[:n_probes]), y, 4, cfg)
+            assert steps[0] == max(solo_steps[:n_probes])
+            _, probs = linear_probe_probs(
+                EmbeddingSet(np.stack(supports[:n_probes]), y),
+                EmbeddingSet(np.stack(queries[:n_probes])),
+                cfg,
+            )
+            assert probs.shape == (n_probes, 9, 4)
+            for m, (solo_w, solo_b, solo_probs) in enumerate(solo[:n_probes]):
+                assert w[m].tobytes() == solo_w.tobytes()
+                assert b[m].tobytes() == solo_b.tobytes()
+                assert probs[m].tobytes() == solo_probs.tobytes()
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
@@ -320,6 +384,33 @@ class TestEnsemble:
             evaluate([m], pp, ds, idx, proto).mean_accuracy for m in members
         )
         assert ens.mean_accuracy >= worst - 1e-12
+
+    def test_mixed_width_members_match_solo_probes(self, eval_setup):
+        """Members of embedding width 8 and 12 and a raw-space member (the
+        encoded width is 12 too) each get the probabilities of their own
+        linear probe, and the ensemble averages those."""
+        ds, idx, pp, stack = eval_setup
+        members = [
+            stack,
+            init_stack(pp.encoded_dim, 0.3, seed=1, cfg=WIDE_CFG),
+            None,
+            init_stack(pp.encoded_dim, 0.4, seed=2, cfg=TINY_CFG),
+        ]
+        x_sup = encode(pp, ds, idx.test[:12])
+        y_sup = np.asarray(np.arange(12) % 4)
+        x_qry = encode(pp, ds, idx.test[12:40])
+        _, fused = _member_probs(members, x_sup, y_sup, x_qry, "linear", FAST_PROBE)
+        total = 0.0
+        for member, member_probs in zip(members, fused):
+            sup = EmbeddingSet(x_sup) if member is None else embed(member, x_sup)
+            qry = EmbeddingSet(x_qry) if member is None else embed(member, x_qry)
+            sup.labels = y_sup
+            classes, probs = linear_probe_probs(sup, qry, FAST_PROBE)
+            assert member_probs.tobytes() == probs.tobytes()
+            total = total + probs
+        expected = classes[np.argmax(total / len(members), axis=1)]
+        preds = ensemble_predict(members, x_sup, y_sup, x_qry, head="linear", cfg=FAST_PROBE)
+        np.testing.assert_array_equal(preds, expected)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(HeadError):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import importlib
+import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -365,4 +368,48 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_existing_checkpoint(self, encoded_gauss, tmp_path, monkeypatch):
+        """A disk that fills halfway through a save leaves the old file intact."""
+        pp, _, _ = encoded_gauss
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
+        before = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: FullDisk(real_open(self, *a, **k)))
+        with pytest.raises(OSError) as info:
+            save_checkpoint(path, init_stack(pp.encoded_dim, 0.4, seed=1, cfg=SMALL_CFG), pp)
+        assert info.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_non_finite_tensor_rejected(self, encoded_gauss, tmp_path):
+        pp, _, _ = encoded_gauss
+        stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, stack, pp)
+        blob = bytearray(path.read_bytes())
+        # Header: magic, version, ratio (<Bd), six dims (<6I); then encoder W1, b1.
+        offset = 8 + 4 + 9 + 24 + 8 * stack.encoder[0].weight.size
+        blob[offset : offset + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="encoder b1"):
             load_checkpoint(path)

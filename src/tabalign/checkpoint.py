@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERICAL
 from .errors import CheckpointError
-from .nncore import AdamState, DenseLayer
+from .nncore import DenseLayer
 from .preprocess import Preprocessor
 from .pretrain import RATIO_RANDOM, EncoderStack, PretrainConfig
 
@@ -203,15 +203,4 @@ def load_checkpoint(
         DenseLayer(tensors[4], tensors[5]),
         DenseLayer(tensors[6], tensors[7]),
     ]
-    stack = EncoderStack(
-        encoder=encoder,
-        projector=projector,
-        adam=AdamState.for_params([], lr=cfg.learning_rate),
-        ratio=ratio,
-        seed=0,
-        conditioned=conditioned,
-        encoded_dim=d,
-        cfg=cfg,
-    )
-    stack.adam = AdamState.for_params(stack.parameters(), lr=cfg.learning_rate)
-    return stack, pp
+    return EncoderStack(encoder=encoder, projector=projector, ratio=ratio, seed=0, cfg=cfg), pp

@@ -41,7 +41,6 @@ from .pretrain import (
     DEFAULT_RATIOS,
     RATIO_RANDOM,
     EncoderStack,
-    PretrainConfig,
     PretrainReport,
     pretrain_ensemble,
 )
@@ -66,21 +65,12 @@ def _prepare(cfg: RunConfig) -> tuple[Dataset, SplitIndices, Preprocessor, np.nd
 
 
 def _train_ensemble(
-    cfg: RunConfig,
-    out_dir: Path,
-    ratios: list[float | str] | None = None,
-    pretrain_cfg: PretrainConfig | None = None,
-    normalize: bool | None = None,
+    cfg: RunConfig, out_dir: Path
 ) -> tuple[list[EncoderStack], list[PretrainReport], Preprocessor, Dataset, SplitIndices]:
     """Pretrain one ensemble and write its checkpoints and report CSVs."""
-    if normalize is not None:
-        cfg = dataclasses.replace(cfg, normalize=normalize)
     ds, indices, pp, x_train, x_valid = _prepare(cfg)
-    ratios = ratios if ratios is not None else cfg.ratios
-    pt_cfg = pretrain_cfg or cfg.pretrain
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    stacks, reports = pretrain_ensemble(x_train, x_valid, pp, ratios, pt_cfg, cfg.seed)
+    stacks, reports = pretrain_ensemble(x_train, x_valid, pp, cfg.ratios, cfg.pretrain, cfg.seed)
     for k, (stack, report) in enumerate(zip(stacks, reports)):
         name = f"member-{k:02d}-{_ratio_tag(stack.ratio)}.ckpt"
         save_checkpoint(out_dir / name, stack, pp)
@@ -132,16 +122,10 @@ def _fitted_stats(pp: Preprocessor) -> tuple:
     return pp.kinds, pp.ranges, pp.normalize, pp.cardinalities, pp.means.tolist(), pp.stds.tolist()
 
 
-def _protocol(cfg: RunConfig, ds: Dataset, head: str | None = None) -> Protocol:
-    return Protocol(
-        n_way=cfg.n_way if cfg.n_way > 0 else ds.n_classes,
-        k_shot=cfg.k_shot,
-        n_episodes=cfg.episodes,
-        n_seeds=cfg.eval_seeds,
-        n_query_per_class=cfg.n_query,
-        head=head if head is not None else cfg.head,
-        base_seed=cfg.eval_base_seed,
-    )
+def _protocol(cfg: RunConfig, ds: Dataset, **changes) -> Protocol:
+    """The configured protocol with ``changes``; an ``n_way`` of 0 takes every class."""
+    protocol = dataclasses.replace(cfg.protocol, **changes)
+    return protocol if protocol.n_way > 0 else dataclasses.replace(protocol, n_way=ds.n_classes)
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
@@ -157,22 +141,18 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    if args.n_way is not None:
-        cfg.n_way = args.n_way
-    if args.k_shot is not None:
-        cfg.k_shot = args.k_shot
-    if args.episodes is not None:
-        cfg.episodes = args.episodes
-    if args.seeds is not None:
-        cfg.eval_seeds = args.seeds
-    if args.head is not None:
-        cfg.head = args.head
-
+    flags = {
+        "n_way": args.n_way,
+        "k_shot": args.k_shot,
+        "n_episodes": args.episodes,
+        "n_seeds": args.seeds,
+        "head": args.head,
+    }
     members, pp = _load_ensemble(Path(args.checkpoint_dir))
     ds = load_csv(cfg.data_path, cfg.schema_path)
     ds.name = cfg.dataset_name or ds.name
     indices = split(ds, cfg.split_seed)
-    protocol = _protocol(cfg, ds)
+    protocol = _protocol(cfg, ds, **{k: v for k, v in flags.items() if v is not None})
     report = evaluate(members, pp, ds, indices, protocol)
 
     out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
@@ -192,32 +172,30 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, EvalReport]] = []
 
-    if args.axis == "conditioning":
-        for variant, flag in (("conditioned", True), ("unconditioned", False)):
-            pt = dataclasses.replace(cfg.pretrain, conditioned=flag)
-            stacks, _, pp, ds, indices = _train_ensemble(
-                cfg, out_dir / variant, pretrain_cfg=pt
-            )
-            rows.append((variant, evaluate(stacks, pp, ds, indices, _protocol(cfg, ds))))
-    elif args.axis == "imputation":
-        for variant in ("zero", "marginal"):
-            pt = dataclasses.replace(cfg.pretrain, imputation=variant)
-            stacks, _, pp, ds, indices = _train_ensemble(
-                cfg, out_dir / variant, pretrain_cfg=pt
-            )
-            rows.append((variant, evaluate(stacks, pp, ds, indices, _protocol(cfg, ds))))
-    elif args.axis == "normalization":
-        for variant, flag in (("normalized", True), ("unnormalized", False)):
-            stacks, _, pp, ds, indices = _train_ensemble(
-                cfg, out_dir / variant, normalize=flag
-            )
+    def pretrain_with(**changes) -> RunConfig:
+        return dataclasses.replace(cfg, pretrain=dataclasses.replace(cfg.pretrain, **changes))
+
+    # Each axis that retrains the whole ensemble under two settings.
+    variants = {
+        "conditioning": [
+            ("conditioned", pretrain_with(conditioned=True)),
+            ("unconditioned", pretrain_with(conditioned=False)),
+        ],
+        "imputation": [(v, pretrain_with(imputation=v)) for v in ("zero", "marginal")],
+        "normalization": [
+            ("normalized", dataclasses.replace(cfg, normalize=True)),
+            ("unnormalized", dataclasses.replace(cfg, normalize=False)),
+        ],
+    }
+    if args.axis in variants:
+        for variant, variant_cfg in variants[args.axis]:
+            stacks, _, pp, ds, indices = _train_ensemble(variant_cfg, out_dir / variant)
             rows.append((variant, evaluate(stacks, pp, ds, indices, _protocol(cfg, ds))))
     elif args.axis == "ratio":
         # The ratio axis always sweeps the standard grid plus the two
         # aggregate modes, regardless of the configured deployment ensemble.
-        stacks, _, pp, ds, indices = _train_ensemble(
-            cfg, out_dir / "members", ratios=list(DEFAULT_RATIOS) + [RATIO_RANDOM]
-        )
+        sweep = dataclasses.replace(cfg, ratios=list(DEFAULT_RATIOS) + [RATIO_RANDOM])
+        stacks, _, pp, ds, indices = _train_ensemble(sweep, out_dir / "members")
         fixed, random_member = stacks[:-1], stacks[-1]
         for stack in fixed:
             rows.append(

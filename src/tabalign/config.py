@@ -3,38 +3,24 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
-from .fewshot import HEADS
+from .fewshot import Protocol
 from .pretrain import DEFAULT_RATIOS, RATIO_RANDOM, PretrainConfig
-
-_KNOWN_KEYS = {
-    "data": {"data", "schema", "name", "split_seed", "normalize"},
-    "pretrain": {
-        "out_dir",
-        "ratios",
-        "seed",
-        "max_epochs",
-        "batch_size",
-        "learning_rate",
-        "patience",
-        "hidden_dim",
-        "embed_dim",
-        "projector_dim",
-        "temperature",
-        "conditioned",
-        "imputation",
-        "dtype",
-    },
-    "eval": {"n_way", "k_shot", "episodes", "seeds", "n_query", "head", "base_seed"},
-}
 
 
 @dataclass
 class RunConfig:
-    """Everything a command needs: data paths, training and evaluation settings."""
+    """Everything a command needs: data paths, training and evaluation settings.
+
+    ``protocol.n_way`` 0 means all classes of the dataset.
+    """
 
     data_path: Path
     schema_path: Path
@@ -45,22 +31,42 @@ class RunConfig:
     ratios: list[float | str] = field(default_factory=lambda: list(DEFAULT_RATIOS))
     seed: int = 0
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
-    n_way: int = 0
-    k_shot: int = 5
-    episodes: int = 100
-    eval_seeds: int = 1
-    n_query: int = 15
-    head: str = "auto"
-    eval_base_seed: int = 0
+    protocol: Protocol = field(default_factory=lambda: Protocol(n_way=0, k_shot=5))
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _same_names(part: str, names: Iterable[str]) -> dict[str, tuple[str, str]]:
+    return {name: (part, name) for name in names}
+
+
+# Each INI section's keys and the field each one sets, as (part, field): part
+# "" is the RunConfig itself, otherwise the RunConfig field holding the target.
+_KEYS: dict[str, dict[str, tuple[str, str]]] = {
+    "data": {
+        "data": ("", "data_path"),
+        "schema": ("", "schema_path"),
+        "name": ("", "dataset_name"),
+        **_same_names("", ("split_seed", "normalize")),
+    },
+    "pretrain": {
+        **_same_names("", ("out_dir", "ratios", "seed")),
+        **_same_names("pretrain", (f.name for f in dataclasses.fields(PretrainConfig))),
+    },
+    "eval": {
+        "episodes": ("protocol", "n_episodes"),
+        "seeds": ("protocol", "n_seeds"),
+        "n_query": ("protocol", "n_query_per_class"),
+        **_same_names("protocol", ("n_way", "k_shot", "head", "base_seed")),
+    },
+}
+
+
+def _parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def parse_ratios(text: str) -> list[float | str]:
@@ -75,17 +81,36 @@ def parse_ratios(text: str) -> list[float | str]:
         try:
             value = float(token)
         except ValueError:
-            raise ConfigError(f"ratios: {token!r} is not a number or 'random'") from None
+            raise ValueError(f"{token!r} is not a number or {RATIO_RANDOM!r}") from None
         if not 0.0 < value < 1.0:
-            raise ConfigError(f"ratios: {value} outside (0, 1)")
+            raise ValueError(f"{value} outside (0, 1)")
         ratios.append(value)
     if not ratios:
-        raise ConfigError("ratios: empty list")
+        raise ValueError("empty list")
     return ratios
 
 
+# How the text of a key is read, by the type of the field it sets.
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    str: str,
+    Path: Path,
+    list[float | str]: parse_ratios,
+}
+
+
+def _parse(part: str, name: str, text: str):
+    owner = get_type_hints(RunConfig)[part] if part else RunConfig
+    return _PARSERS[get_type_hints(owner)[name]](text)
+
+
 def load_run_config(path: str | Path) -> RunConfig:
-    """Parse an INI config file; unknown sections or keys are errors."""
+    """Parse an INI config file; unknown sections or keys are errors.
+
+    Each value is checked by the dataclass that holds it, when it is built.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -95,66 +120,25 @@ def load_run_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    values: dict[str, dict[str, object]] = defaultdict(dict)
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, text in parser[section].items():
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            part, name = _KEYS[section][key]
+            try:
+                values[part][name] = _parse(part, name, text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
 
-    if "data" not in parser or "data" not in parser["data"] or "schema" not in parser["data"]:
+    run = values.pop("", {})
+    if "data_path" not in run or "schema_path" not in run:
         raise ConfigError(f"{path}: [data] section must set 'data' and 'schema'")
-
-    data = parser["data"]
-    cfg = RunConfig(
-        data_path=Path(data["data"]),
-        schema_path=Path(data["schema"]),
-    )
-    cfg.dataset_name = data.get("name", "")
-    try:
-        cfg.split_seed = data.getint("split_seed", 0)
-        if "normalize" in data:
-            cfg.normalize = _parse_bool(data["normalize"], "normalize")
-
-        if "pretrain" in parser:
-            pre = parser["pretrain"]
-            if "out_dir" in pre:
-                cfg.out_dir = Path(pre["out_dir"])
-            if "ratios" in pre:
-                cfg.ratios = parse_ratios(pre["ratios"])
-            cfg.seed = pre.getint("seed", cfg.seed)
-            pt = cfg.pretrain
-            pt.max_epochs = pre.getint("max_epochs", pt.max_epochs)
-            pt.batch_size = pre.getint("batch_size", pt.batch_size)
-            pt.learning_rate = pre.getfloat("learning_rate", pt.learning_rate)
-            pt.patience = pre.getint("patience", pt.patience)
-            pt.hidden_dim = pre.getint("hidden_dim", pt.hidden_dim)
-            pt.embed_dim = pre.getint("embed_dim", pt.embed_dim)
-            pt.projector_dim = pre.getint("projector_dim", pt.projector_dim)
-            pt.temperature = pre.getfloat("temperature", pt.temperature)
-            if "conditioned" in pre:
-                pt.conditioned = _parse_bool(pre["conditioned"], "conditioned")
-            pt.imputation = pre.get("imputation", pt.imputation)
-            pt.dtype = pre.get("dtype", pt.dtype)
-            if pt.imputation not in ("zero", "marginal"):
-                raise ConfigError(f"imputation must be 'zero' or 'marginal', got {pt.imputation!r}")
-            if pt.dtype not in ("float64", "float32"):
-                raise ConfigError(f"dtype must be 'float64' or 'float32', got {pt.dtype!r}")
-
-        if "eval" in parser:
-            ev = parser["eval"]
-            cfg.n_way = ev.getint("n_way", cfg.n_way)
-            cfg.k_shot = ev.getint("k_shot", cfg.k_shot)
-            cfg.episodes = ev.getint("episodes", cfg.episodes)
-            cfg.eval_seeds = ev.getint("seeds", cfg.eval_seeds)
-            cfg.n_query = ev.getint("n_query", cfg.n_query)
-            cfg.head = ev.get("head", cfg.head)
-            if cfg.head not in ("auto",) + HEADS:
-                raise ConfigError(f"head must be one of auto/{'/'.join(HEADS)}, got {cfg.head!r}")
-            cfg.eval_base_seed = ev.getint("base_seed", cfg.eval_base_seed)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
+    cfg = RunConfig(**run)
+    for part, changes in values.items():
+        setattr(cfg, part, dataclasses.replace(getattr(cfg, part), **changes))
     if not cfg.dataset_name:
         cfg.dataset_name = cfg.data_path.stem
     return cfg

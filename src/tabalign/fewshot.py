@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Episode, SplitIndices, sample_episode
-from .errors import DimensionError, HeadError
+from .errors import ConfigError, DimensionError, HeadError
 from .nncore import AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
 from .preprocess import Preprocessor, encode
-from .pretrain import EncoderStack, nearest_neighbors
+from .pretrain import EncoderStack, member_seed, nearest_neighbors
 
 HEADS = ("proto-cos", "proto-eucl", "linear", "knn-cos", "knn-eucl", "finetune")
 
@@ -32,26 +32,33 @@ class EmbeddingSet:
     source: str = ""
 
 
+# A probe stops once its support loss has changed by less than PROBE_TOL for
+# PROBE_TOL_PATIENCE consecutive steps. The knn-* heads vote over KNN_K neighbors.
+PROBE_TOL = 1e-8
+PROBE_TOL_PATIENCE = 50
+KNN_K = 1
+
+
 @dataclass
 class ProbeConfig:
     """Optimization settings for the probe and fine-tuning heads.
 
-    The probe trains full batch with no in-episode validation; it stops early
-    once the support loss changes by less than ``tol`` for ``tol_patience``
-    consecutive epochs.
+    The probe trains full batch with no in-episode validation, for at most
+    ``max_epochs`` steps.
     """
 
     learning_rate: float = 0.001
     max_epochs: int = 10000
-    tol: float = 1e-8
-    tol_patience: int = 50
-    knn_k: int = 1
     seed: int = 0
 
 
 @dataclass
 class Protocol:
-    """Episode-loop settings for :func:`evaluate`."""
+    """Episode-loop settings for :func:`evaluate`.
+
+    Raises :class:`ConfigError` on a ``head`` that is neither ``"auto"`` nor
+    one of :data:`HEADS`.
+    """
 
     n_way: int
     k_shot: int
@@ -60,6 +67,10 @@ class Protocol:
     n_query_per_class: int = 15
     head: str = "auto"
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.head not in ("auto",) + HEADS:
+            raise ConfigError(f"head must be one of auto/{'/'.join(HEADS)}, got {self.head!r}")
 
     def resolved_head(self) -> str:
         if self.head != "auto":
@@ -188,7 +199,7 @@ def _fit_probe(
     encoder inputs and the encoder's layers train with the head, in place.
     Every probe starts from the same ``cfg.seed`` draw. A probe stops after
     ``cfg.max_epochs`` steps, or once its loss has changed by less than
-    ``cfg.tol`` for ``cfg.tol_patience`` consecutive steps; it then leaves the
+    ``PROBE_TOL`` for ``PROBE_TOL_PATIENCE`` consecutive steps; it then leaves the
     stack, so each probe ends with the bits it would have if trained alone.
     Returns (M, C, E) weights and (M, C) biases.
     """
@@ -233,9 +244,9 @@ def _fit_probe(
             mlp_backward(encoder, cache, (d_logits[0] @ w[0]).astype(x.dtype, copy=False))
             grads += [g for layer in encoder for g in (layer.grad_weight, layer.grad_bias)]
         adam_step(params, grads, state)
-        steady = np.where(np.abs(prev - loss) < cfg.tol, steady + 1, 0)
+        steady = np.where(np.abs(prev - loss) < PROBE_TOL, steady + 1, 0)
         prev = loss
-        stop = steady >= cfg.tol_patience
+        stop = steady >= PROBE_TOL_PATIENCE
         if stop.any():
             w_out[live[stop]] = w[stop]
             b_out[live[stop]] = b[stop]
@@ -321,7 +332,7 @@ def finetune_probs(
 
 
 def _frozen_probs(
-    head: str, support: EmbeddingSet, query: EmbeddingSet, cfg: ProbeConfig
+    head: str, support: EmbeddingSet, query: EmbeddingSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch a head, other than the linear probe, that runs on frozen vectors."""
     if head == "proto-cos":
@@ -329,9 +340,9 @@ def _frozen_probs(
     if head == "proto-eucl":
         return prototype_probs(support, query, "euclidean")
     if head == "knn-cos":
-        return knn_probs(support, query, cfg.knn_k, "cosine")
+        return knn_probs(support, query, KNN_K, "cosine")
     if head == "knn-eucl":
-        return knn_probs(support, query, cfg.knn_k, "euclidean")
+        return knn_probs(support, query, KNN_K, "euclidean")
     raise HeadError(f"unknown head {head!r}")
 
 
@@ -362,7 +373,7 @@ def _member_probs(
     labels = np.asarray(support_y)
     if head != "linear":
         results = [
-            _frozen_probs(head, EmbeddingSet(sup, labels), EmbeddingSet(qry), cfg)
+            _frozen_probs(head, EmbeddingSet(sup, labels), EmbeddingSet(qry))
             for sup, qry in vectors
         ]
         return results[0][0], [probs for _, probs in results]
@@ -403,11 +414,6 @@ def ensemble_predict(
     return classes[np.argmax(total / len(members), axis=1)]
 
 
-def _episode_seed(base_seed: int, seed_idx: int, episode_idx: int, stream: int) -> int:
-    ss = np.random.SeedSequence([base_seed, seed_idx, episode_idx, stream])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def evaluate(
     members: list[EncoderStack],
     pp: Preprocessor,
@@ -423,8 +429,6 @@ def evaluate(
     the encoded inputs (a no-pretraining baseline) and ``members`` is ignored.
     """
     head = protocol.resolved_head()
-    if head not in HEADS:
-        raise HeadError(f"unknown head {head!r}")
     report = EvalReport(
         dataset=ds.name,
         n_way=protocol.n_way,
@@ -442,11 +446,9 @@ def evaluate(
                 protocol.n_way,
                 protocol.k_shot,
                 protocol.n_query_per_class,
-                _episode_seed(protocol.base_seed, seed_idx, ep_idx, 0),
+                member_seed(protocol.base_seed, seed_idx, ep_idx, 0),
             )
-            cfg = ProbeConfig(
-                seed=_episode_seed(protocol.base_seed, seed_idx, ep_idx, 1)
-            )
+            cfg = ProbeConfig(seed=member_seed(protocol.base_seed, seed_idx, ep_idx, 1))
             sup_rows = np.array([r for r, _ in episode.support])
             sup_y = np.array([c for _, c in episode.support])
             qry_rows = np.array([r for r, _ in episode.query])

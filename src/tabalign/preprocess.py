@@ -54,18 +54,12 @@ class SeparationMask:
     ratio: float
 
 
-def fit(
-    ds: Dataset,
-    train_indices: np.ndarray,
-    normalize: bool = True,
-    keep_marginals: bool = True,
-) -> Preprocessor:
+def fit(ds: Dataset, train_indices: np.ndarray, normalize: bool = True) -> Preprocessor:
     """Fit encoding statistics on training rows only.
 
     Numerical columns get mean/population-std (std <- 1 when constant); with
-    ``normalize=False`` the numerical transform is the identity. When
-    ``keep_marginals`` is set, each column's observed training values are
-    retained for the marginal-imputation view variant.
+    ``normalize=False`` the numerical transform is the identity. Each column's
+    observed training values are retained for the marginal-imputation views.
     """
     train_indices = np.asarray(train_indices)
     if train_indices.size == 0:
@@ -88,14 +82,12 @@ def fit(
             cardinalities.append(None)
             ranges.append((offset, offset + 1))
             offset += 1
-            if keep_marginals:
-                marginals.append((x[:, j] - means[j]) / stds[j])
+            marginals.append((x[:, j] - means[j]) / stds[j])
         else:
             cardinalities.append(col.cardinality)
             ranges.append((offset, offset + col.cardinality))
             offset += col.cardinality
-            if keep_marginals:
-                marginals.append(x[:, j].astype(np.int64))
+            marginals.append(x[:, j].astype(np.int64))
 
     return Preprocessor(
         kinds=kinds,
@@ -105,7 +97,7 @@ def fit(
         ranges=ranges,
         encoded_dim=offset,
         normalize=normalize,
-        marginals=marginals if keep_marginals else None,
+        marginals=marginals,
     )
 
 
@@ -197,7 +189,10 @@ def make_views_marginal(
     distances remain pure subspace distances.
     """
     if pp.marginals is None:
-        raise ViewError("marginal imputation needs a preprocessor fitted with keep_marginals")
+        raise ViewError(
+            "marginal imputation needs the training marginals, which a preprocessor "
+            "loaded from a checkpoint does not keep"
+        )
     x = np.atleast_2d(np.asarray(x))
     x_f, x_t = make_views(x, mask)
     x_f = x_f.copy()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .nncore import (
     AdamState,
     DenseLayer,
@@ -28,12 +28,19 @@ from .nncore import (
 from .preprocess import Preprocessor, make_views, make_views_marginal, sample_mask
 
 RATIO_RANDOM = "random"
+# The standard ensemble, and the ratios a "random" member draws from per batch.
 DEFAULT_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+_DTYPES = {"float64": np.float64, "float32": np.float32}
+_IMPUTATIONS = ("zero", "marginal")
 
 
 @dataclass
 class PretrainConfig:
-    """Training hyperparameters; defaults follow the standard recipe."""
+    """Training hyperparameters; defaults follow the standard recipe.
+
+    Raises :class:`ConfigError` on an unknown ``imputation`` or ``dtype``.
+    """
 
     max_epochs: int = 10000
     batch_size: int = 1024
@@ -45,11 +52,18 @@ class PretrainConfig:
     temperature: float = 0.1
     conditioned: bool = True
     imputation: str = "zero"
-    ratio_choices: tuple[float, ...] = DEFAULT_RATIOS
     dtype: str = "float64"
 
+    def __post_init__(self) -> None:
+        if self.imputation not in _IMPUTATIONS:
+            raise ConfigError(
+                f"imputation must be {' or '.join(map(repr, _IMPUTATIONS))}, got {self.imputation!r}"
+            )
+        if self.dtype not in _DTYPES:
+            raise ConfigError(f"dtype must be {' or '.join(map(repr, _DTYPES))}, got {self.dtype!r}")
+
     def numpy_dtype(self) -> np.dtype:
-        return np.float32 if self.dtype == "float32" else np.float64
+        return _DTYPES[self.dtype]
 
 
 @dataclass
@@ -58,21 +72,30 @@ class EncoderStack:
 
     The projector input is the encoder output concatenated with the encoded
     mask vector (width ``embed_dim + encoded_dim``) unless conditioning is
-    disabled.
+    disabled. The Adam state starts fresh when the stack is built.
     """
 
     encoder: list[DenseLayer]
     projector: list[DenseLayer]
-    adam: AdamState
     ratio: float | str
     seed: int
-    conditioned: bool
-    encoded_dim: int
     cfg: PretrainConfig = field(default_factory=PretrainConfig)
+    adam: AdamState = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.adam = AdamState.for_params(self.parameters(), lr=self.cfg.learning_rate)
+
+    @property
+    def encoded_dim(self) -> int:
+        return self.encoder[0].in_dim
 
     @property
     def embed_dim(self) -> int:
         return self.encoder[-1].out_dim
+
+    @property
+    def conditioned(self) -> bool:
+        return self.projector[0].in_dim == self.embed_dim + self.encoded_dim
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable tensors in checkpoint order."""
@@ -124,18 +147,7 @@ def init_stack(
         init_layer(proj_in, cfg.hidden_dim, rng, dtype),
         init_layer(cfg.hidden_dim, cfg.projector_dim, rng, dtype),
     ]
-    stack = EncoderStack(
-        encoder=encoder,
-        projector=projector,
-        adam=AdamState.for_params([], lr=cfg.learning_rate),
-        ratio=ratio,
-        seed=seed,
-        conditioned=cfg.conditioned,
-        encoded_dim=encoded_dim,
-        cfg=cfg,
-    )
-    stack.adam = AdamState.for_params(stack.parameters(), lr=cfg.learning_rate)
-    return stack
+    return EncoderStack(encoder=encoder, projector=projector, ratio=ratio, seed=seed, cfg=cfg)
 
 
 # Elements per Gram block (8 MB in float64): a batch of 1024 is one block.
@@ -203,7 +215,7 @@ def _batch_views(
     """Sample this batch's mask and build both views under the imputation policy."""
     ratio = stack.ratio
     if ratio == RATIO_RANDOM:
-        ratio = float(rng.choice(stack.cfg.ratio_choices))
+        ratio = float(rng.choice(DEFAULT_RATIOS))
     mask = sample_mask(pp, float(ratio), rng)
     if stack.cfg.imputation == "marginal":
         x_f, x_t = make_views_marginal(batch, mask, pp, rng)
@@ -357,10 +369,14 @@ def pretrain(
     )
 
 
-def member_seed(master_seed: int, index: int) -> int:
-    """Derived seed for ensemble member ``index``; stable across runs."""
-    ss = np.random.SeedSequence([master_seed, index])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def member_seed(*keys: int) -> int:
+    """A 64-bit seed derived from integer keys; stable across runs.
+
+    Ensemble member k of master seed s draws from ``member_seed(s, k)``; a
+    few-shot episode keys its draws by (base seed, seed index, episode index,
+    stream).
+    """
+    return int(np.random.SeedSequence(keys).generate_state(1, dtype=np.uint64)[0])
 
 
 def pretrain_ensemble(

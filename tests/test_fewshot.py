@@ -9,7 +9,7 @@ import pytest
 
 from tabalign import fewshot
 from tabalign.data import split
-from tabalign.errors import DimensionError, HeadError
+from tabalign.errors import ConfigError, DimensionError, HeadError
 from tabalign.fewshot import (
     EmbeddingSet,
     ProbeConfig,
@@ -432,6 +432,10 @@ class TestEvaluate:
         five = Protocol(n_way=3, k_shot=5, n_episodes=1, n_seeds=1, n_query_per_class=5)
         assert one.resolved_head() == "proto-cos"
         assert five.resolved_head() == "linear"
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(ConfigError):
+            Protocol(n_way=3, k_shot=1, head="banana")
 
     def test_chance_level_on_shuffled_labels(self, eval_setup):
         """Untrained encoder on label-shuffled data sits at 1/n_way."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,7 +275,7 @@ class TestMarginalImputation:
 
     def test_requires_marginals(self):
         ds = mixed_dataset()
-        pp = fit(ds, np.arange(ds.n_rows), keep_marginals=False)
+        pp = dataclasses.replace(fit(ds, np.arange(ds.n_rows)), marginals=None)
         x = encode(pp, ds, np.arange(ds.n_rows))
         mask = sample_mask(pp, 0.5, np.random.default_rng(0))
         with pytest.raises(ViewError):

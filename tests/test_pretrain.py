@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tabalign.checkpoint import load_checkpoint, save_checkpoint
 from tabalign.data import split
-from tabalign.errors import CheckpointError, TrainingError
+from tabalign.errors import CheckpointError, ConfigError, TrainingError
 from tabalign.preprocess import encode, fit
 from tabalign.pretrain import (
     RATIO_RANDOM,
@@ -271,6 +271,11 @@ class TestEnsemble:
         for p, q in zip(both[1].parameters(), solo.parameters()):
             assert p.tobytes() == q.tobytes()
 
+    def test_member_seed_is_one_seed_sequence_draw(self):
+        for keys in ((1, 1), (0, 3, 7, 1)):
+            ss = np.random.SeedSequence(list(keys))
+            assert member_seed(*keys) == int(ss.generate_state(1, dtype=np.uint64)[0])
+
     def test_empty_ratio_list_rejected(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         with pytest.raises(TrainingError):
@@ -286,6 +291,13 @@ class TestVariants:
         assert on.projector[0].in_dim == SMALL_CFG.embed_dim + pp.encoded_dim
         assert off.projector[0].in_dim == SMALL_CFG.embed_dim
         assert on.projector[0].in_dim - off.projector[0].in_dim == pp.encoded_dim
+        assert on.conditioned and not off.conditioned
+        assert on.encoded_dim == off.encoded_dim == pp.encoded_dim
+
+    @pytest.mark.parametrize("change", [{"imputation": "marginl"}, {"dtype": "float16"}])
+    def test_unknown_imputation_or_dtype_rejected(self, change):
+        with pytest.raises(ConfigError):
+            PretrainConfig(**change)
 
     def test_unconditioned_training_converges(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss

@@ -21,7 +21,6 @@ from .data import (
 )
 from .errors import TabAlignError
 from .fewshot import (
-    EmbeddingSet,
     EvalReport,
     ProbeConfig,
     Protocol,
@@ -33,7 +32,7 @@ from .fewshot import (
     linear_probe_probs,
     prototype_probs,
 )
-from .nncore import AdamState, DenseLayer, adam_step, cosine_sim, infonce_loss
+from .nncore import AdamState, DenseLayer, adam_step, infonce_loss
 from .preprocess import (
     Preprocessor,
     SeparationMask,
@@ -59,7 +58,6 @@ from .theory import (
     MismatchEstimate,
     check_bound,
     expected_mismatch,
-    mismatch_trial,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +68,6 @@ __all__ = [
     "ColumnSchema",
     "Dataset",
     "DenseLayer",
-    "EmbeddingSet",
     "EncoderStack",
     "Episode",
     "EvalReport",
@@ -87,7 +84,6 @@ __all__ = [
     "TabAlignError",
     "adam_step",
     "check_bound",
-    "cosine_sim",
     "embed",
     "encode",
     "ensemble_predict",
@@ -105,7 +101,6 @@ __all__ = [
     "load_run_config",
     "make_gaussian_dataset",
     "make_views",
-    "mismatch_trial",
     "nearest_neighbors",
     "neighbor_fraction_curve",
     "pretrain",

@@ -85,7 +85,7 @@ def latent_consistency(
         raise AnalysisError("labels must match the row count")
 
     input_counts = (labels[nearest_neighbors(x, k)] == labels[:, None]).sum(axis=1)
-    latent = embed(stack, x).vectors
+    latent = embed(stack, x)
     latent_counts = (labels[nearest_neighbors(latent, k)] == labels[:, None]).sum(axis=1)
 
     sizes = np.zeros(k + 1, dtype=np.int64)

@@ -152,14 +152,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ds = load_csv(cfg.data_path, cfg.schema_path)
     ds.name = cfg.dataset_name or ds.name
     indices = split(ds, cfg.split_seed)
-    protocol = _protocol(cfg, ds, **{k: v for k, v in flags.items() if v is not None})
-    report = evaluate(members, pp, ds, indices, protocol)
+    changes = {k: v for k, v in flags.items() if v is not None}
+    report = evaluate(members, pp, ds, indices, _protocol(cfg, ds, **changes))
 
     out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
     write_report_csv(report, out)
     write_summary_csv([report], out.with_name(out.stem + "_summary.csv"))
+    protocol = report.protocol
     print(
-        f"[eval] {report.head} {protocol.n_way}-way {protocol.k_shot}-shot: "
+        f"[eval] {protocol.head} {protocol.n_way}-way {protocol.k_shot}-shot: "
         f"accuracy {report.mean_accuracy:.4f} +/- {report.std_accuracy:.4f} "
         f"({len(report.rows)} episodes) -> {out}"
     )
@@ -228,9 +229,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 [
                     args.axis,
                     variant,
-                    report.n_way,
-                    report.k_shot,
-                    report.head,
+                    report.protocol.n_way,
+                    report.protocol.k_shot,
+                    report.protocol.head,
                     f"{report.mean_accuracy:.6f}",
                     f"{report.std_accuracy:.6f}",
                 ]

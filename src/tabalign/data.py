@@ -117,14 +117,15 @@ class SplitIndices:
 class Episode:
     """One N-way K-shot task drawn from the test partition.
 
-    Both lists hold (row index, label) pairs; support has exactly ``k_shot``
-    rows per class and never overlaps the query set.
+    Row indices into the dataset and their labels, all int64, grouped by class
+    in draw order. The support holds exactly ``k_shot`` rows per class and never
+    overlaps the query set.
     """
 
-    n_way: int
-    k_shot: int
-    support: list[tuple[int, int]]
-    query: list[tuple[int, int]]
+    support_rows: np.ndarray
+    support_labels: np.ndarray
+    query_rows: np.ndarray
+    query_labels: np.ndarray
 
 
 def load_schema_file(path: str | Path) -> tuple[list[tuple[str, str]], str | None]:
@@ -353,8 +354,7 @@ def sample_episode(
     classes = rng.choice(ds.n_classes, size=n_way, replace=False)
     test_labels = ds.labels[split_indices.test]
 
-    support: list[tuple[int, int]] = []
-    query: list[tuple[int, int]] = []
+    picks: list[np.ndarray] = []
     need = k_shot + n_query_per_class
     for c in classes:
         rows_c = split_indices.test[test_labels == c]
@@ -364,11 +364,17 @@ def sample_episode(
                 f"class {cname!r} has {len(rows_c)} test rows; "
                 f"episode needs {need}"
             )
-        picked = rng.choice(rows_c, size=need, replace=False)
-        support.extend((int(r), int(c)) for r in picked[:k_shot])
-        query.extend((int(r), int(c)) for r in picked[k_shot:])
+        picks.append(rng.choice(rows_c, size=need, replace=False))
 
-    support_rows = {r for r, _ in support}
-    if support_rows & {r for r, _ in query}:
+    picked = np.asarray(picks, dtype=np.int64)
+    support_rows = picked[:, :k_shot].ravel()
+    query_rows = picked[:, k_shot:].ravel()
+    if np.intersect1d(support_rows, query_rows).size:
         raise EpisodeError("support and query sets overlap")
-    return Episode(n_way=n_way, k_shot=k_shot, support=support, query=query)
+    labels = classes.astype(np.int64)
+    return Episode(
+        support_rows=support_rows,
+        support_labels=np.repeat(labels, k_shot),
+        query_rows=query_rows,
+        query_labels=np.repeat(labels, n_query_per_class),
+    )

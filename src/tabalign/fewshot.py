@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +23,10 @@ from .pretrain import EncoderStack, member_seed, nearest_neighbors
 HEADS = ("proto-cos", "proto-eucl", "linear", "knn-cos", "knn-eucl", "finetune")
 
 
-@dataclass
-class EmbeddingSet:
-    """Encoder outputs for a set of rows, with optional labels."""
-
-    vectors: np.ndarray
-    labels: np.ndarray | None = None
-    source: str = ""
-
-
-# A probe stops once its support loss has changed by less than PROBE_TOL for
-# PROBE_TOL_PATIENCE consecutive steps. The knn-* heads vote over KNN_K neighbors.
+# A probe takes Adam steps of size PROBE_LR and stops once its support loss has
+# changed by less than PROBE_TOL for PROBE_TOL_PATIENCE consecutive steps. The
+# knn-* heads vote over KNN_K neighbors.
+PROBE_LR = 0.001
 PROBE_TOL = 1e-8
 PROBE_TOL_PATIENCE = 50
 KNN_K = 1
@@ -47,7 +40,6 @@ class ProbeConfig:
     ``max_epochs`` steps.
     """
 
-    learning_rate: float = 0.001
     max_epochs: int = 10000
     seed: int = 0
 
@@ -80,14 +72,13 @@ class Protocol:
 
 @dataclass
 class EvalReport:
-    """Per-episode accuracies plus their mean and standard deviation."""
+    """Per-episode accuracies plus their mean and standard deviation.
+
+    ``protocol`` is the protocol that produced the rows, with its head resolved.
+    """
 
     dataset: str
-    n_way: int
-    k_shot: int
-    head: str
-    n_seeds: int
-    n_episodes: int
+    protocol: Protocol
     rows: list[tuple[int, int, float]] = field(default_factory=list)
 
     @property
@@ -103,8 +94,9 @@ class EvalReport:
         return float(self.accuracies.std())
 
 
-def embed(stack: EncoderStack, x: np.ndarray) -> EmbeddingSet:
-    """Encode full (unmasked) rows; the projector plays no role at evaluation."""
+def embed(stack: EncoderStack, x: np.ndarray) -> np.ndarray:
+    """The (n, E) embeddings of full (unmasked) rows; the projector plays no role
+    at evaluation."""
     x = np.asarray(x, dtype=stack.cfg.numpy_dtype())
     if x.ndim != 2 or x.shape[1] != stack.encoded_dim:
         raise DimensionError(
@@ -113,14 +105,24 @@ def embed(stack: EncoderStack, x: np.ndarray) -> EmbeddingSet:
     vectors, _ = mlp_forward(stack.encoder, x)
     if not np.all(np.isfinite(vectors)):
         raise HeadError("encoder produced non-finite embeddings")
-    return EmbeddingSet(vectors=vectors, source=f"ratio={stack.ratio}")
+    return vectors
 
 
-def _check_support(labels: np.ndarray | None) -> np.ndarray:
-    """Sorted class ids of the support labels; rejects a missing or empty set."""
-    if labels is None or len(labels) == 0:
+def _check_support(
+    support_x: np.ndarray, support_y: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted class ids of the support labels and each label's index among them.
+
+    Rejects missing or empty labels, and labels whose count differs from the
+    number of support rows (axis -2 of ``support_x``).
+    """
+    if support_y is None or len(support_y) == 0:
         raise HeadError("support set must be labeled and non-empty")
-    return np.unique(np.asarray(labels))
+    n_rows = np.shape(support_x)[-2]
+    if n_rows != len(support_y):
+        raise HeadError(f"support has {n_rows} rows but {len(support_y)} labels")
+    classes = np.unique(np.asarray(support_y))
+    return classes, np.searchsorted(classes, support_y)
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -136,7 +138,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def prototype_probs(
-    support: EmbeddingSet, query: EmbeddingSet, metric: str = "cosine"
+    support_x: np.ndarray,
+    support_y: np.ndarray,
+    query_x: np.ndarray,
+    metric: str = "cosine",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities from mean-embedding prototypes.
 
@@ -144,16 +149,14 @@ def prototype_probs(
     prototypes are turned into probabilities with a temperature-1 softmax.
     Returns (sorted class ids, (n_query, n_way) probabilities).
     """
-    classes = _check_support(support.labels)
-    protos = np.stack(
-        [support.vectors[support.labels == c].mean(axis=0) for c in classes]
-    )
+    classes, y = _check_support(support_x, support_y)
+    protos = np.stack([support_x[y == i].mean(axis=0) for i in range(len(classes))])
     if metric == "cosine":
-        logits = _normalize_rows(query.vectors) @ _normalize_rows(protos).T
+        logits = _normalize_rows(query_x) @ _normalize_rows(protos).T
     elif metric == "euclidean":
         d2 = (
-            np.square(query.vectors).sum(axis=1, keepdims=True)
-            - 2.0 * query.vectors @ protos.T
+            np.square(query_x).sum(axis=1, keepdims=True)
+            - 2.0 * query_x @ protos.T
             + np.square(protos).sum(axis=1)
         )
         logits = -np.sqrt(np.maximum(d2, 0.0))
@@ -218,7 +221,7 @@ def _fit_probe(
         return buffer[:, : n_way * dim].reshape(-1, n_way, dim), buffer[:, n_way * dim :]
 
     params = [flat] + [t for layer in encoder or () for t in (layer.weight, layer.bias)]
-    state = AdamState.for_params(params, lr=cfg.learning_rate)
+    state = AdamState.for_params(params, lr=PROBE_LR)
     w, b = views(flat)
     grad_w, grad_b = views(grad)
 
@@ -267,7 +270,10 @@ def _fit_probe(
 
 
 def linear_probe_probs(
-    support: EmbeddingSet, query: EmbeddingSet, cfg: ProbeConfig | None = None
+    support_x: np.ndarray,
+    support_y: np.ndarray,
+    query_x: np.ndarray,
+    cfg: ProbeConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train an affine classifier on frozen support embeddings; return query probabilities.
 
@@ -277,9 +283,8 @@ def linear_probe_probs(
     would alone, and the probabilities are (M, n_query, C).
     """
     cfg = cfg or ProbeConfig()
-    classes = _check_support(support.labels)
-    y = np.searchsorted(classes, support.labels)
-    sup, qry = np.asarray(support.vectors), np.asarray(query.vectors)
+    classes, y = _check_support(support_x, support_y)
+    sup, qry = np.asarray(support_x), np.asarray(query_x)
     single = sup.ndim == 2
     if single:
         sup, qry = sup[None], qry[None]
@@ -289,21 +294,23 @@ def linear_probe_probs(
 
 
 def knn_probs(
-    support: EmbeddingSet, query: EmbeddingSet, k: int, metric: str = "euclidean"
+    support_x: np.ndarray,
+    support_y: np.ndarray,
+    query_x: np.ndarray,
+    k: int,
+    metric: str = "euclidean",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vote shares over the k nearest support embeddings (of L2-normalized rows for cosine)."""
-    classes = _check_support(support.labels)
+    classes, y = _check_support(support_x, support_y)
     if k < 1:
         raise HeadError(f"k must be >= 1, got {k}")
-    if k > len(support.vectors):
-        raise HeadError(f"k={k} exceeds support size {len(support.vectors)}")
-    sup, qry = support.vectors, query.vectors
+    if k > len(support_x):
+        raise HeadError(f"k={k} exceeds support size {len(support_x)}")
     if metric == "cosine":
-        sup, qry = _normalize_rows(sup), _normalize_rows(qry)
+        support_x, query_x = _normalize_rows(support_x), _normalize_rows(query_x)
     elif metric != "euclidean":
         raise HeadError(f"unknown knn metric {metric!r}")
-    nearest = nearest_neighbors(sup, k, queries=qry)
-    y = np.searchsorted(classes, support.labels)
+    nearest = nearest_neighbors(support_x, k, queries=query_x)
     return classes, (y[nearest][:, :, None] == np.arange(len(classes))).sum(axis=1) / k
 
 
@@ -320,8 +327,7 @@ def finetune_probs(
     :func:`linear_probe_probs` for the same seed.
     """
     cfg = cfg or ProbeConfig()
-    classes = _check_support(support_y)
-    y = np.searchsorted(classes, support_y)
+    classes, y = _check_support(support_x, support_y)
     work = stack.clone()
     dtype = work.cfg.numpy_dtype()
     (w,), (b,) = _fit_probe(
@@ -332,17 +338,17 @@ def finetune_probs(
 
 
 def _frozen_probs(
-    head: str, support: EmbeddingSet, query: EmbeddingSet
+    head: str, support_x: np.ndarray, support_y: np.ndarray, query_x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch a head, other than the linear probe, that runs on frozen vectors."""
     if head == "proto-cos":
-        return prototype_probs(support, query, "cosine")
+        return prototype_probs(support_x, support_y, query_x, "cosine")
     if head == "proto-eucl":
-        return prototype_probs(support, query, "euclidean")
+        return prototype_probs(support_x, support_y, query_x, "euclidean")
     if head == "knn-cos":
-        return knn_probs(support, query, KNN_K, "cosine")
+        return knn_probs(support_x, support_y, query_x, KNN_K, "cosine")
     if head == "knn-eucl":
-        return knn_probs(support, query, KNN_K, "euclidean")
+        return knn_probs(support_x, support_y, query_x, KNN_K, "euclidean")
     raise HeadError(f"unknown head {head!r}")
 
 
@@ -367,23 +373,20 @@ def _member_probs(
     vectors = [
         (support_x, query_x)
         if member is None
-        else (embed(member, support_x).vectors, embed(member, query_x).vectors)
+        else (embed(member, support_x), embed(member, query_x))
         for member in members
     ]
-    labels = np.asarray(support_y)
     if head != "linear":
-        results = [
-            _frozen_probs(head, EmbeddingSet(sup, labels), EmbeddingSet(qry))
-            for sup, qry in vectors
-        ]
+        results = [_frozen_probs(head, sup, support_y, qry) for sup, qry in vectors]
         return results[0][0], [probs for _, probs in results]
     probs: dict[int, np.ndarray] = {}
     widths = [sup.shape[1] for sup, _ in vectors]
     for width in dict.fromkeys(widths):
         group = [i for i, w in enumerate(widths) if w == width]
         classes, stacked = linear_probe_probs(
-            EmbeddingSet(np.stack([vectors[i][0] for i in group]), labels),
-            EmbeddingSet(np.stack([vectors[i][1] for i in group])),
+            np.stack([vectors[i][0] for i in group]),
+            support_y,
+            np.stack([vectors[i][1] for i in group]),
             cfg,
         )
         probs.update(zip(group, stacked))
@@ -429,14 +432,7 @@ def evaluate(
     the encoded inputs (a no-pretraining baseline) and ``members`` is ignored.
     """
     head = protocol.resolved_head()
-    report = EvalReport(
-        dataset=ds.name,
-        n_way=protocol.n_way,
-        k_shot=protocol.k_shot,
-        head=head,
-        n_seeds=protocol.n_seeds,
-        n_episodes=protocol.n_episodes,
-    )
+    report = EvalReport(dataset=ds.name, protocol=replace(protocol, head=head))
     encoders = [None] if raw_space else members
     for seed_idx in range(protocol.n_seeds):
         for ep_idx in range(protocol.n_episodes):
@@ -449,14 +445,10 @@ def evaluate(
                 member_seed(protocol.base_seed, seed_idx, ep_idx, 0),
             )
             cfg = ProbeConfig(seed=member_seed(protocol.base_seed, seed_idx, ep_idx, 1))
-            sup_rows = np.array([r for r, _ in episode.support])
-            sup_y = np.array([c for _, c in episode.support])
-            qry_rows = np.array([r for r, _ in episode.query])
-            qry_y = np.array([c for _, c in episode.query])
-            x_sup = encode(pp, ds, sup_rows)
-            x_qry = encode(pp, ds, qry_rows)
-            preds = ensemble_predict(encoders, x_sup, sup_y, x_qry, head, cfg)
-            accuracy = float(np.mean(preds == qry_y))
+            x_sup = encode(pp, ds, episode.support_rows)
+            x_qry = encode(pp, ds, episode.query_rows)
+            preds = ensemble_predict(encoders, x_sup, episode.support_labels, x_qry, head, cfg)
+            accuracy = float(np.mean(preds == episode.query_labels))
             report.rows.append((seed_idx, ep_idx, accuracy))
     return report
 
@@ -468,13 +460,14 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
         writer.writerow(
             ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"]
         )
+        protocol = report.protocol
         for seed_idx, ep_idx, acc in report.rows:
             writer.writerow(
                 [
                     report.dataset,
-                    report.n_way,
-                    report.k_shot,
-                    report.head,
+                    protocol.n_way,
+                    protocol.k_shot,
+                    protocol.head,
                     seed_idx,
                     ep_idx,
                     f"{acc:.6f}",
@@ -502,11 +495,11 @@ def write_summary_csv(reports: list[EvalReport], path: str | Path) -> None:
             writer.writerow(
                 [
                     r.dataset,
-                    r.n_way,
-                    r.k_shot,
-                    r.head,
-                    r.n_seeds,
-                    r.n_episodes,
+                    r.protocol.n_way,
+                    r.protocol.k_shot,
+                    r.protocol.head,
+                    r.protocol.n_seeds,
+                    r.protocol.n_episodes,
                     f"{r.mean_accuracy:.6f}",
                     f"{r.std_accuracy:.6f}",
                 ]

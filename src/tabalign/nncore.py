@@ -1,5 +1,4 @@
-"""Dense network kernel: ReLU MLPs, cosine similarity, the contrastive
-alignment loss, and Adam.
+"""Dense network kernel: ReLU MLPs, the contrastive alignment loss, and Adam.
 
 All gradients are hand-derived for this fixed architecture. Matrices are
 row-major with one sample per row; a layer computes ``x @ W.T + b``.
@@ -95,23 +94,6 @@ def mlp_backward(
         if i > 0:
             d_z = d_in * (cache[i - 1][1] > 0.0)
     return d_in
-
-
-def cosine_sim_flagged(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
-    """Cosine similarity plus a flag set when either norm is below 1e-12."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < NORM_EPS or nv < NORM_EPS:
-        return 0.0, True
-    return float(u @ v / (nu * nv)), False
-
-
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; degenerate (near-zero) vectors yield 0."""
-    value, _ = cosine_sim_flagged(u, v)
-    return value
 
 
 def infonce_loss(

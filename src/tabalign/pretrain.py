@@ -296,9 +296,8 @@ def pretrain(
     train: np.ndarray,
     valid: np.ndarray,
     pp: Preprocessor,
-    cfg: PretrainConfig | None = None,
 ) -> PretrainReport:
-    """Train one stack with validation-loss early stopping.
+    """Train one stack under its own ``stack.cfg`` with validation-loss early stopping.
 
     Each epoch is one shuffled pass over the training rows in batches of at
     most ``batch_size``. Validation loss is measured with freshly sampled
@@ -306,8 +305,7 @@ def pretrain(
     epochs without improvement (patience 0 behaves as 1) and the parameters
     from the best-validation epoch are restored.
     """
-    cfg = cfg or stack.cfg
-    stack.cfg = cfg
+    cfg = stack.cfg
     if len(valid) == 0:
         raise TrainingError("validation set is empty")
     if len(train) < 2:
@@ -398,6 +396,6 @@ def pretrain_ensemble(
     reports: list[PretrainReport] = []
     for k, ratio in enumerate(ratios):
         stack = init_stack(train.shape[1], ratio, member_seed(master_seed, k), cfg)
-        reports.append(pretrain(stack, train, valid, pp, cfg))
+        reports.append(pretrain(stack, train, valid, pp))
         stacks.append(stack)
     return stacks, reports

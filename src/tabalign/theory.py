@@ -89,13 +89,6 @@ def mismatch_count(
     return int(np.count_nonzero(dz <= dy))
 
 
-def mismatch_trial(
-    spec: GaussianPairSpec, subset: np.ndarray, rng: np.random.Generator
-) -> int:
-    """One Bernoulli mismatch trial; see :func:`mismatch_count`."""
-    return mismatch_count(spec, subset, 1, rng)
-
-
 def expected_mismatch(
     spec: GaussianPairSpec,
     n: int,

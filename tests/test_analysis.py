@@ -139,7 +139,7 @@ class TestLatentConsistency:
             hidden_dim=128, embed_dim=64, projector_dim=64,
         )
         stack = init_stack(pp.encoded_dim, 0.2, seed=2, cfg=cfg)
-        pretrain(stack, x_train, x_valid, pp, cfg)
+        pretrain(stack, x_train, x_valid, pp)
         x_all = encode(pp, gauss_ds, np.arange(gauss_ds.n_rows))
         table = latent_consistency(x_all, gauss_ds.labels, stack, k=10)
         assert table.overall_latent_mean >= table.overall_input_mean

@@ -210,13 +210,14 @@ class TestSampleEpisode:
     def test_sizes(self, big):
         ds, idx = big
         ep = sample_episode(ds, idx, n_way=10, k_shot=5, n_query_per_class=15, seed=0)
-        assert len(ep.support) == 50
-        assert len(ep.query) == 150
+        assert len(ep.support_rows) == len(ep.support_labels) == 50
+        assert len(ep.query_rows) == len(ep.query_labels) == 150
+        assert {a.dtype for a in vars(ep).values()} == {np.dtype(np.int64)}
 
     def test_one_shot(self, big):
         ds, idx = big
         ep = sample_episode(ds, idx, n_way=10, k_shot=1, n_query_per_class=5, seed=1)
-        labels = [c for _, c in ep.support]
+        labels = ep.support_labels.tolist()
         assert sorted(labels) == sorted(set(labels))
 
     def test_balanced_and_disjoint(self, big):
@@ -224,19 +225,22 @@ class TestSampleEpisode:
         for seed in range(5):
             ep = sample_episode(ds, idx, n_way=4, k_shot=3, n_query_per_class=7, seed=seed)
             counts = {}
-            for _, c in ep.support:
+            for c in ep.support_labels.tolist():
                 counts[c] = counts.get(c, 0) + 1
             assert set(counts.values()) == {3}
-            assert not {r for r, _ in ep.support} & {r for r, _ in ep.query}
+            assert not set(ep.support_rows.tolist()) & set(ep.query_rows.tolist())
             test_set = set(idx.test.tolist())
-            assert {r for r, _ in ep.support} <= test_set
-            assert {r for r, _ in ep.query} <= test_set
+            assert set(ep.support_rows.tolist()) <= test_set
+            assert set(ep.query_rows.tolist()) <= test_set
+            assert np.array_equal(ds.labels[ep.support_rows], ep.support_labels)
+            assert np.array_equal(ds.labels[ep.query_rows], ep.query_labels)
 
     def test_deterministic(self, big):
         ds, idx = big
         a = sample_episode(ds, idx, 5, 2, 4, seed=7)
         b = sample_episode(ds, idx, 5, 2, 4, seed=7)
-        assert a.support == b.support and a.query == b.query
+        for field in ("support_rows", "support_labels", "query_rows", "query_labels"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_twenty_seed_collision(self, big):
         """Distinct seeds give distinct support sets (enumerated and compared)."""
@@ -244,7 +248,7 @@ class TestSampleEpisode:
         supports = set()
         for seed in range(20):
             ep = sample_episode(ds, idx, 10, 2, 4, seed=seed)
-            supports.add(frozenset(r for r, _ in ep.support))
+            supports.add(frozenset(ep.support_rows.tolist()))
         assert len(supports) == 20
 
     def test_thin_class_error_names_class(self, big):

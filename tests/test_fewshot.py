@@ -11,7 +11,6 @@ from tabalign import fewshot
 from tabalign.data import split
 from tabalign.errors import ConfigError, DimensionError, HeadError
 from tabalign.fewshot import (
-    EmbeddingSet,
     ProbeConfig,
     Protocol,
     embed,
@@ -37,7 +36,8 @@ FAST_PROBE = ProbeConfig(max_epochs=800, seed=0)
 
 
 def _labeled(vectors, labels):
-    return EmbeddingSet(np.asarray(vectors, dtype=np.float64), np.asarray(labels))
+    """Float64 support rows and their labels: a head's first two arguments."""
+    return np.asarray(vectors, dtype=np.float64), np.asarray(labels)
 
 
 def _predict(head_probs, *args, **kwargs):
@@ -61,7 +61,7 @@ class TestEmbed:
         for layer in stack.encoder:
             layer.weight[...] = 0.0
         x = np.random.default_rng(0).normal(size=(5, 6))
-        out = embed(stack, x).vectors
+        out = embed(stack, x)
         expected = np.maximum(stack.encoder[0].bias, 0.0) @ stack.encoder[1].weight.T
         expected = expected + stack.encoder[1].bias
         np.testing.assert_allclose(out, np.tile(expected, (5, 1)))
@@ -69,8 +69,8 @@ class TestEmbed:
     def test_deterministic(self):
         stack = init_stack(6, 0.2, seed=1, cfg=TINY_CFG)
         x = np.random.default_rng(1).normal(size=(10, 6))
-        a = embed(stack, x).vectors
-        b = embed(stack, x).vectors
+        a = embed(stack, x)
+        b = embed(stack, x)
         assert a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch(self):
@@ -91,77 +91,75 @@ class TestEmbed:
         ds, idx, pp, _ = eval_setup
         cfg = PC(max_epochs=3, batch_size=128, hidden_dim=16, embed_dim=8, projector_dim=8)
         stack = init_stack(pp.encoded_dim, 0.2, seed=9, cfg=cfg)
-        pretrain(stack, encode(pp, ds, idx.train), encode(pp, ds, idx.valid), pp, cfg)
+        pretrain(stack, encode(pp, ds, idx.train), encode(pp, ds, idx.valid), pp)
         rows = np.random.default_rng(0).normal(size=(1000, pp.encoded_dim))
-        vectors = embed(stack, rows).vectors
+        vectors = embed(stack, rows)
         assert np.all(np.isfinite(np.linalg.norm(vectors, axis=1)))
 
 
 class TestPrototype:
     def test_query_equal_to_support_vector(self):
         sup = _labeled([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0, 1, 2])
-        qry = EmbeddingSet(np.array([[0.0, 1.0]]))
-        assert _predict(prototype_probs, sup, qry)[0] == 1
+        qry = np.array([[0.0, 1.0]])
+        assert _predict(prototype_probs, *sup, qry)[0] == 1
 
     def test_two_class_example(self):
         sup = _labeled([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        qry = EmbeddingSet(np.array([[0.9, 0.1]]))
-        assert _predict(prototype_probs, sup, qry)[0] == 0
+        qry = np.array([[0.9, 0.1]])
+        assert _predict(prototype_probs, *sup, qry)[0] == 0
 
     def test_matches_exhaustive_similarity_table(self):
         """Independent per-query cosine table, 3 classes, 5 shots."""
         rng = np.random.default_rng(4)
         labels = np.repeat([0, 1, 2], 5)
-        sup = _labeled(rng.normal(size=(15, 6)), labels)
-        qry = EmbeddingSet(rng.normal(size=(20, 6)))
-        preds = _predict(prototype_probs, sup, qry)
+        sup_x, sup_y = _labeled(rng.normal(size=(15, 6)), labels)
+        qry = rng.normal(size=(20, 6))
+        preds = _predict(prototype_probs, sup_x, sup_y, qry)
 
-        protos = [sup.vectors[labels == c].mean(axis=0) for c in (0, 1, 2)]
+        protos = [sup_x[labels == c].mean(axis=0) for c in (0, 1, 2)]
         for i in range(20):
             sims = []
             for p in protos:
-                q = qry.vectors[i]
+                q = qry[i]
                 sims.append(q @ p / (np.linalg.norm(q) * np.linalg.norm(p)))
             assert preds[i] == int(np.argmax(sims))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
-        sup = _labeled(rng.normal(size=(12, 4)), np.repeat([0, 1, 2], 4))
-        qry = EmbeddingSet(rng.normal(size=(30, 4)))
-        base = _predict(prototype_probs, sup, qry)
+        sup_x, sup_y = _labeled(rng.normal(size=(12, 4)), np.repeat([0, 1, 2], 4))
+        qry = rng.normal(size=(30, 4))
+        base = _predict(prototype_probs, sup_x, sup_y, qry)
         for c in (0.001, 7.5, 2048.0):
-            scaled_sup = _labeled(sup.vectors * c, sup.labels)
-            scaled_qry = EmbeddingSet(qry.vectors * c)
-            scaled = _predict(prototype_probs, scaled_sup, scaled_qry)
+            scaled = _predict(prototype_probs, sup_x * c, sup_y, qry * c)
             np.testing.assert_array_equal(scaled, base)
 
     def test_euclidean_variant_differs_from_cosine_when_it_should(self):
         sup = _labeled([[10.0, 0.0], [0.0, 1.0]], [0, 1])
-        qry = EmbeddingSet(np.array([[2.0, 0.5]]))
-        assert _predict(prototype_probs, sup, qry, metric="cosine")[0] == 0
-        assert _predict(prototype_probs, sup, qry, metric="euclidean")[0] == 1
+        qry = np.array([[2.0, 0.5]])
+        assert _predict(prototype_probs, *sup, qry, metric="cosine")[0] == 0
+        assert _predict(prototype_probs, *sup, qry, metric="euclidean")[0] == 1
 
     def test_unlabeled_support_rejected(self):
         with pytest.raises(HeadError):
-            prototype_probs(EmbeddingSet(np.ones((2, 2))), EmbeddingSet(np.ones((1, 2))))
+            prototype_probs(np.ones((2, 2)), None, np.ones((1, 2)))
 
 
 class TestLinearProbe:
     def test_separable_support_is_fit_perfectly(self):
         rng = np.random.default_rng(0)
-        sup = _labeled(
+        sup_x, sup_y = _labeled(
             np.vstack([rng.normal(-3.0, 0.3, size=(10, 4)), rng.normal(3.0, 0.3, size=(10, 4))]),
             np.repeat([0, 1], 10),
         )
-        preds = _predict(linear_probe_probs, sup, sup, FAST_PROBE)
-        np.testing.assert_array_equal(preds, sup.labels)
+        preds = _predict(linear_probe_probs, sup_x, sup_y, sup_x, FAST_PROBE)
+        np.testing.assert_array_equal(preds, sup_y)
 
     def test_support_duplicated_as_query(self):
         rng = np.random.default_rng(2)
-        sup = _labeled(rng.normal(size=(10, 4)), np.repeat([0, 1], 5))
-        qry = EmbeddingSet(sup.vectors.copy())
-        preds_q = _predict(linear_probe_probs, sup, qry, FAST_PROBE)
-        preds_s = _predict(linear_probe_probs, sup, sup, FAST_PROBE)
+        sup_x, sup_y = _labeled(rng.normal(size=(10, 4)), np.repeat([0, 1], 5))
+        qry = sup_x.copy()
+        preds_q = _predict(linear_probe_probs, sup_x, sup_y, qry, FAST_PROBE)
+        preds_s = _predict(linear_probe_probs, sup_x, sup_y, sup_x, FAST_PROBE)
         np.testing.assert_array_equal(preds_q, preds_s)
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
@@ -221,7 +219,7 @@ class TestLinearProbe:
             steps[0] = 0
             w, b = _fit_probe(sup[None], y, 4, cfg)
             solo_steps.append(steps[0])
-            probs = linear_probe_probs(EmbeddingSet(sup, y), EmbeddingSet(qry), cfg)[1]
+            probs = linear_probe_probs(sup, y, qry, cfg)[1]
             solo.append((w[0], b[0], probs))
         assert solo_steps[0] < cfg.max_epochs // 2
         assert solo_steps[1] == cfg.max_epochs
@@ -232,9 +230,7 @@ class TestLinearProbe:
             w, b = _fit_probe(np.stack(supports[:n_probes]), y, 4, cfg)
             assert steps[0] == max(solo_steps[:n_probes])
             _, probs = linear_probe_probs(
-                EmbeddingSet(np.stack(supports[:n_probes]), y),
-                EmbeddingSet(np.stack(queries[:n_probes])),
-                cfg,
+                np.stack(supports[:n_probes]), y, np.stack(queries[:n_probes]), cfg
             )
             assert probs.shape == (n_probes, 9, 4)
             for m, (solo_w, solo_b, solo_probs) in enumerate(solo[:n_probes]):
@@ -245,71 +241,92 @@ class TestLinearProbe:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
         sup = _labeled(rng.normal(size=(8, 4)), np.repeat([0, 1], 4))
-        qry = EmbeddingSet(rng.normal(size=(10, 4)))
-        a = linear_probe_probs(sup, qry, ProbeConfig(max_epochs=50, seed=5))[1]
-        b = linear_probe_probs(sup, qry, ProbeConfig(max_epochs=50, seed=5))[1]
+        qry = rng.normal(size=(10, 4))
+        a = linear_probe_probs(*sup, qry, ProbeConfig(max_epochs=50, seed=5))[1]
+        b = linear_probe_probs(*sup, qry, ProbeConfig(max_epochs=50, seed=5))[1]
         assert a.tobytes() == b.tobytes()
 
 
 class TestKnn:
     def test_one_nn_on_support_vector(self):
         sup = _labeled([[0.0, 0.0], [5.0, 5.0]], [0, 1])
-        qry = EmbeddingSet(np.array([[5.0, 5.0]]))
-        assert _predict(knn_probs, sup, qry, k=1)[0] == 1
+        qry = np.array([[5.0, 5.0]])
+        assert _predict(knn_probs, *sup, qry, k=1)[0] == 1
 
     def test_full_k_returns_majority(self):
         sup = _labeled([[0.0], [0.1], [0.2], [9.0]], [1, 1, 1, 0])
-        qry = EmbeddingSet(np.array([[100.0]]))
-        assert _predict(knn_probs, sup, qry, k=4)[0] == 1
+        qry = np.array([[100.0]])
+        assert _predict(knn_probs, *sup, qry, k=4)[0] == 1
 
     def test_vote_tie_breaks_to_lowest_class(self):
         sup = _labeled([[0.0], [1.0]], [1, 0])
-        qry = EmbeddingSet(np.array([[0.5]]))
-        assert _predict(knn_probs, sup, qry, k=2)[0] == 0
+        qry = np.array([[0.5]])
+        assert _predict(knn_probs, *sup, qry, k=2)[0] == 0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(6)
-        sup = _labeled(rng.normal(size=(20, 5)), rng.integers(3, size=20))
-        qry = EmbeddingSet(rng.normal(size=(15, 5)))
+        sup_x, sup_y = _labeled(rng.normal(size=(20, 5)), rng.integers(3, size=20))
+        qry = rng.normal(size=(15, 5))
         for k in (1, 3, 7):
-            preds = _predict(knn_probs, sup, qry, k=k, metric="euclidean")
+            preds = _predict(knn_probs, sup_x, sup_y, qry, k=k, metric="euclidean")
             for i in range(15):
-                d = np.sqrt(((sup.vectors - qry.vectors[i]) ** 2).sum(axis=1))
+                d = np.sqrt(((sup_x - qry[i]) ** 2).sum(axis=1))
                 nearest = np.argsort(d, kind="stable")[:k]
-                votes = np.bincount(sup.labels[nearest], minlength=3)
+                votes = np.bincount(sup_y[nearest], minlength=3)
                 assert preds[i] == int(np.argmax(votes))
 
     def test_one_nn_far_from_origin(self):
         """Rows at offset 1e6 with spread 1e-2 vote their exact nearest label."""
         rng = np.random.default_rng(7)
-        sup = _labeled(1e6 + 1e-2 * rng.normal(size=(20, 8)), np.arange(20) % 4)
-        qry = EmbeddingSet(1e6 + 1e-2 * rng.normal(size=(60, 8)))
-        preds = _predict(knn_probs, sup, qry, k=1)
+        sup_x, sup_y = _labeled(1e6 + 1e-2 * rng.normal(size=(20, 8)), np.arange(20) % 4)
+        qry = 1e6 + 1e-2 * rng.normal(size=(60, 8))
+        preds = _predict(knn_probs, sup_x, sup_y, qry, k=1)
         for i in range(60):
-            d = np.square(sup.vectors - qry.vectors[i]).sum(axis=1)
-            assert preds[i] == sup.labels[np.argmin(d)]
+            d = np.square(sup_x - qry[i]).sum(axis=1)
+            assert preds[i] == sup_y[np.argmin(d)]
 
     def test_bad_k_rejected(self):
         sup = _labeled([[0.0], [1.0]], [0, 1])
-        qry = EmbeddingSet(np.array([[0.5]]))
+        qry = np.array([[0.5]])
         with pytest.raises(HeadError):
-            knn_probs(sup, qry, k=0)
+            knn_probs(*sup, qry, k=0)
         with pytest.raises(HeadError):
-            knn_probs(sup, qry, k=3)
+            knn_probs(*sup, qry, k=3)
+
+
+class TestSupportCheck:
+    @pytest.mark.parametrize("n_labels", [4, 8])
+    def test_row_and_label_counts_must_agree(self, n_labels):
+        """Every head, the stacked probe included, refuses 6 support rows
+        with another number of labels instead of voting or indexing past them."""
+        rng = np.random.default_rng(0)
+        sup = rng.normal(size=(6, 6))
+        y = np.arange(n_labels) % 3
+        qry = rng.normal(size=(4, 6))
+        stack = init_stack(6, 0.2, seed=0, cfg=TINY_CFG)
+        calls = (
+            lambda: prototype_probs(sup, y, qry),
+            lambda: knn_probs(sup, y, qry, k=1),
+            lambda: linear_probe_probs(sup, y, qry, FAST_PROBE),
+            lambda: linear_probe_probs(np.stack([sup, sup]), y, np.stack([qry, qry]), FAST_PROBE),
+            lambda: finetune_probs(stack, sup, y, qry, FAST_PROBE),
+        )
+        for call in calls:
+            with pytest.raises(HeadError, match=f"6 rows but {n_labels} labels"):
+                call()
 
 
 class TestFinetune:
-    def test_zero_lr_matches_linear_probe(self, eval_setup):
+    def test_zero_lr_matches_linear_probe(self, eval_setup, monkeypatch):
         ds, idx, pp, stack = eval_setup
         x_sup = encode(pp, ds, idx.test[:12])
         y_sup = np.asarray(np.arange(12) % 3)
         x_qry = encode(pp, ds, idx.test[12:30])
-        cfg = ProbeConfig(learning_rate=0.0, max_epochs=60, seed=4)
+        monkeypatch.setattr(fewshot, "PROBE_LR", 0.0)
+        cfg = ProbeConfig(max_epochs=60, seed=4)
 
         ft_classes, ft = finetune_probs(stack, x_sup, y_sup, x_qry, cfg)
-        sup = embed(stack, x_sup)
-        sup.labels = y_sup
-        lp_classes, lp = linear_probe_probs(sup, embed(stack, x_qry), cfg)
+        lp_classes, lp = linear_probe_probs(embed(stack, x_sup), y_sup, embed(stack, x_qry), cfg)
         np.testing.assert_array_equal(ft_classes, lp_classes)
         assert ft.tobytes() == lp.tobytes()
 
@@ -326,9 +343,7 @@ class TestFinetune:
         for p, b in zip(stack.parameters(), before):
             assert p.tobytes() == b.tobytes()
 
-        sup = embed(stack, x_sup)
-        sup.labels = y_sup
-        _, lp = linear_probe_probs(sup, embed(stack, x_qry), cfg)
+        _, lp = linear_probe_probs(embed(stack, x_sup), y_sup, embed(stack, x_qry), cfg)
         assert np.max(np.abs(ft - lp)) > 1e-6
 
     def test_competitive_with_linear_probe_on_synthetic(self, eval_setup):
@@ -359,9 +374,7 @@ class TestEnsemble:
         y_sup = np.asarray(np.arange(8) % 2)
         x_qry = encode(pp, ds, idx.test[8:20])
         ens = ensemble_predict([stack], x_sup, y_sup, x_qry, head="proto-cos")
-        sup = embed(stack, x_sup)
-        sup.labels = y_sup
-        solo = _predict(prototype_probs, sup, embed(stack, x_qry))
+        solo = _predict(prototype_probs, embed(stack, x_sup), y_sup, embed(stack, x_qry))
         np.testing.assert_array_equal(ens, solo)
 
     def test_identical_members_preserve_argmax(self, eval_setup):
@@ -402,10 +415,9 @@ class TestEnsemble:
         _, fused = _member_probs(members, x_sup, y_sup, x_qry, "linear", FAST_PROBE)
         total = 0.0
         for member, member_probs in zip(members, fused):
-            sup = EmbeddingSet(x_sup) if member is None else embed(member, x_sup)
-            qry = EmbeddingSet(x_qry) if member is None else embed(member, x_qry)
-            sup.labels = y_sup
-            classes, probs = linear_probe_probs(sup, qry, FAST_PROBE)
+            sup = x_sup if member is None else embed(member, x_sup)
+            qry = x_qry if member is None else embed(member, x_qry)
+            classes, probs = linear_probe_probs(sup, y_sup, qry, FAST_PROBE)
             assert member_probs.tobytes() == probs.tobytes()
             total = total + probs
         expected = classes[np.argmax(total / len(members), axis=1)]
@@ -424,7 +436,7 @@ class TestEvaluate:
         report = evaluate([stack], pp, ds, idx, proto)
         assert len(report.rows) == 1
         assert report.std_accuracy == 0.0
-        assert report.head == "proto-cos"
+        assert report.protocol.head == "proto-cos"
 
     def test_auto_head_selection(self, eval_setup):
         ds, idx, pp, stack = eval_setup
@@ -456,10 +468,10 @@ class TestEvaluate:
         rng = np.random.default_rng(21)
         for _ in range(20):
             sup = _labeled(rng.normal(size=(5, 6)), np.arange(5))
-            qry = EmbeddingSet(rng.normal(size=(25, 6)))
+            qry = rng.normal(size=(25, 6))
             np.testing.assert_array_equal(
-                _predict(prototype_probs, sup, qry, "cosine"),
-                _predict(knn_probs, sup, qry, k=1, metric="cosine"),
+                _predict(prototype_probs, *sup, qry, "cosine"),
+                _predict(knn_probs, *sup, qry, k=1, metric="cosine"),
             )
 
     def test_one_shot_prototype_equals_one_nn_cosine(self, eval_setup):

@@ -1,4 +1,4 @@
-"""Network kernel: forward/backward, cosine similarity, contrastive loss, Adam."""
+"""Network kernel: forward/backward, contrastive loss, Adam."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from tabalign.nncore import (
     AdamState,
     DenseLayer,
     adam_step,
-    cosine_sim,
-    cosine_sim_flagged,
     infonce_loss,
     init_layer,
     mlp_backward,
@@ -85,24 +83,6 @@ class TestMlpForward:
         numeric = central_diff_grads(loss, arrays)
         for a, n in zip(analytic, numeric):
             assert max_rel_error(a, n) < 1e-6
-
-
-class TestCosine:
-    def test_parallel(self):
-        assert cosine_sim([3.0, 4.0], [3.0, 4.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_closed_form(self):
-        expected = 5.0 / math.sqrt(70.0)
-        assert cosine_sim([1.0, 2.0, 3.0], [-1.0, 0.0, 2.0]) == pytest.approx(expected)
-
-    def test_degenerate_flag(self):
-        value, flag = cosine_sim_flagged(np.zeros(3), np.ones(3))
-        assert value == 0.0 and flag
-        value, flag = cosine_sim_flagged(np.ones(3), np.ones(3))
-        assert value == pytest.approx(1.0) and not flag
 
 
 class TestInfoNCE:

@@ -173,7 +173,7 @@ class TestPretrain:
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 1})
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert report.stopped_epoch == 1
         assert len(report.train_losses) == 1 and len(report.valid_losses) == 1
         assert report.best_validation_loss == report.valid_losses[0]
@@ -182,7 +182,7 @@ class TestPretrain:
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 25, "patience": 25})
         stack = init_stack(pp.encoded_dim, 0.2, seed=2, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert report.best_validation_loss < report.valid_losses[0]
         assert report.best_validation_loss == min(report.valid_losses)
 
@@ -190,7 +190,7 @@ class TestPretrain:
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 60, "patience": 3})
         stack = init_stack(pp.encoded_dim, 0.4, seed=4, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert report.stopped_epoch - report.best_epoch <= 3
         if report.stopped_epoch < 60:
             assert report.stopped_epoch - report.best_epoch == 3
@@ -199,7 +199,7 @@ class TestPretrain:
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 60, "patience": 0})
         stack = init_stack(pp.encoded_dim, 0.4, seed=4, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         if report.stopped_epoch < 60:
             assert report.stopped_epoch - report.best_epoch == 1
 
@@ -208,29 +208,41 @@ class TestPretrain:
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 15, "patience": 15})
         stack = init_stack(pp.encoded_dim, 0.2, seed=6, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
 
-        # Retrain an identical twin, snapshotting at the best epoch.
-        twin = init_stack(pp.encoded_dim, 0.2, seed=6, cfg=cfg)
+        # Retrain an identical twin, snapshotting at the best epoch. Only the
+        # stopping settings differ, and they do not touch the initial draw.
         cfg_best = PretrainConfig(
             **{**cfg.__dict__, "max_epochs": report.best_epoch, "patience": 10**6}
         )
-        pretrain(twin, x_train, x_valid, pp, cfg_best)
+        twin = init_stack(pp.encoded_dim, 0.2, seed=6, cfg=cfg_best)
+        pretrain(twin, x_train, x_valid, pp)
         for p, q in zip(stack.parameters(), twin.parameters()):
             assert p.tobytes() == q.tobytes()
+
+    def test_config_comes_from_the_stack(self, encoded_gauss):
+        """A config passed beside the stack would train under one learning rate
+        while the stack's Adam state kept another, so it is refused."""
+        pp, x_train, x_valid = encoded_gauss
+        stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
+        other = PretrainConfig(**{**SMALL_CFG.__dict__, "learning_rate": 0.5, "max_epochs": 1})
+        with pytest.raises(TypeError):
+            pretrain(stack, x_train, x_valid, pp, other)
+        assert stack.cfg is SMALL_CFG
+        assert stack.adam.lr == SMALL_CFG.learning_rate
 
     def test_empty_validation_rejected(self, encoded_gauss):
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         with pytest.raises(TrainingError):
-            pretrain(stack, x_train, x_train[:0], pp, SMALL_CFG)
+            pretrain(stack, x_train, x_train[:0], pp)
 
     def test_nonfinite_loss_aborts_with_diagnostic(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         stack.encoder[0].weight[...] = 1e308
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite"):
-            pretrain(stack, x_train, x_valid, pp, SMALL_CFG)
+            pretrain(stack, x_train, x_valid, pp)
 
 
 class TestEnsemble:
@@ -248,7 +260,7 @@ class TestEnsemble:
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 2})
         stacks, _ = pretrain_ensemble(x_train, x_valid, pp, [0.3], cfg, master_seed=9)
         solo = init_stack(pp.encoded_dim, 0.3, member_seed(9, 0), cfg)
-        pretrain(solo, x_train, x_valid, pp, cfg)
+        pretrain(solo, x_train, x_valid, pp)
         for p, q in zip(stacks[0].parameters(), solo.parameters()):
             assert p.tobytes() == q.tobytes()
 
@@ -267,7 +279,7 @@ class TestEnsemble:
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 2})
         both, _ = pretrain_ensemble(x_train, x_valid, pp, [0.2, 0.4], cfg, master_seed=1)
         solo = init_stack(pp.encoded_dim, 0.4, member_seed(1, 1), cfg)
-        pretrain(solo, x_train, x_valid, pp, cfg)
+        pretrain(solo, x_train, x_valid, pp)
         for p, q in zip(both[1].parameters(), solo.parameters()):
             assert p.tobytes() == q.tobytes()
 
@@ -305,21 +317,21 @@ class TestVariants:
             **{**SMALL_CFG.__dict__, "conditioned": False, "max_epochs": 15, "patience": 15}
         )
         stack = init_stack(pp.encoded_dim, 0.2, seed=3, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert report.best_validation_loss < report.valid_losses[0]
 
     def test_random_ratio_mode_trains(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 3})
         stack = init_stack(pp.encoded_dim, RATIO_RANDOM, seed=0, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert len(report.train_losses) == 3
 
     def test_marginal_imputation_trains(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "imputation": "marginal", "max_epochs": 3})
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert np.isfinite(report.train_losses).all()
 
     def test_float32_mode_trains(self, encoded_gauss):
@@ -327,7 +339,7 @@ class TestVariants:
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "dtype": "float32", "max_epochs": 2})
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=cfg)
         assert stack.encoder[0].weight.dtype == np.float32
-        report = pretrain(stack, x_train, x_valid, pp, cfg)
+        report = pretrain(stack, x_train, x_valid, pp)
         assert np.isfinite(report.train_losses).all()
 
 
@@ -336,7 +348,7 @@ class TestCheckpoint:
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 2})
         stack = init_stack(pp.encoded_dim, 0.3, seed=8, cfg=cfg)
-        pretrain(stack, x_train, x_valid, pp, cfg)
+        pretrain(stack, x_train, x_valid, pp)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, stack, pp)
         loaded, loaded_pp = load_checkpoint(path)

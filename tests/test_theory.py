@@ -15,7 +15,6 @@ from tabalign.theory import (
     expected_mismatch,
     mean_subset_separation,
     mismatch_count,
-    mismatch_trial,
     ramp_offset,
 )
 
@@ -66,7 +65,7 @@ class TestMismatchTrial:
     def test_single_trial_is_bernoulli(self):
         spec = GaussianPairSpec(4, np.zeros(4))
         rng = np.random.default_rng(4)
-        values = {mismatch_trial(spec, np.arange(4), rng) for _ in range(50)}
+        values = {mismatch_count(spec, np.arange(4), 1, rng) for _ in range(50)}
         assert values <= {0, 1} and len(values) == 2
 
     def test_empty_subset_rejected(self):

@@ -7,6 +7,7 @@ weights and take the argmax.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -177,13 +178,17 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     """Mean softmax cross-entropy of each probe and its gradient with respect to the logits.
 
     ``logits`` is (M, n, C) for M probes sharing the labels ``y``; returns (M,)
-    losses and (M, n, C) gradients.
+    losses and (M, n, C) gradients. The softmax and the gradient are computed
+    in place: ``logits`` is overwritten and returned as the gradient.
     """
-    n = logits.shape[1]
-    rows = np.arange(n)
-    d = _softmax(logits)
-    loss = -np.log(d[:, rows, y] + 1e-300).sum(axis=1) / n
-    d[:, rows, y] -= 1.0
+    n, n_way = logits.shape[1:]
+    d = logits
+    d -= d.max(axis=-1, keepdims=True)
+    np.exp(d, out=d)
+    d /= d.sum(axis=-1, keepdims=True)
+    loss = -np.log(d[:, np.arange(n), y] + 1e-300).sum(axis=1) / n
+    # Subtracting the one-hot labels leaves every other entry as it is (x - 0.0 == x).
+    d -= y[:, None] == np.arange(n_way)
     d /= n
     return loss, d
 
@@ -231,14 +236,20 @@ def _fit_probe(
     # Frozen float32 embeddings are upcast once here rather than in each
     # matmul against the float64 probes; the products are the same.
     h = np.asarray(x, dtype=flat.dtype)
-    prev = np.full(n_probes, np.inf)
-    steady = np.zeros(n_probes, dtype=np.int64)
+    # Each step's logits, and then their gradient, are written into this one buffer.
+    logits = np.empty((n_probes, x.shape[1], n_way))
+    # Per-probe stop counters on Python floats: cheaper than arrays at M <= a few.
+    prev = [math.inf] * n_probes
+    steady = [0] * n_probes
     for _ in range(cfg.max_epochs):
         if encoder is not None:
             h, cache = mlp_forward(encoder, x[0])
             h = h[None]
-        loss, d_logits = _cross_entropy(np.matmul(h, w.swapaxes(1, 2)) + b[:, None], y)
-        if not np.isfinite(loss).all():
+        np.matmul(h, w.swapaxes(1, 2), out=logits)
+        logits += b[:, None]
+        loss, d_logits = _cross_entropy(logits, y)
+        losses = loss.tolist()
+        if not all(map(math.isfinite, losses)):
             raise HeadError("non-finite probe loss")
         np.matmul(d_logits.swapaxes(1, 2), h, out=grad_w)
         np.sum(d_logits, axis=1, out=grad_b)
@@ -247,10 +258,13 @@ def _fit_probe(
             mlp_backward(encoder, cache, (d_logits[0] @ w[0]).astype(x.dtype, copy=False))
             grads += [g for layer in encoder for g in (layer.grad_weight, layer.grad_bias)]
         adam_step(params, grads, state)
-        steady = np.where(np.abs(prev - loss) < PROBE_TOL, steady + 1, 0)
-        prev = loss
-        stop = steady >= PROBE_TOL_PATIENCE
-        if stop.any():
+        steady = [
+            count + 1 if abs(before - after) < PROBE_TOL else 0
+            for count, before, after in zip(steady, prev, losses)
+        ]
+        prev = losses
+        if max(steady) >= PROBE_TOL_PATIENCE:
+            stop = np.array(steady) >= PROBE_TOL_PATIENCE
             w_out[live[stop]] = w[stop]
             b_out[live[stop]] = b[stop]
             if stop.all():
@@ -258,12 +272,14 @@ def _fit_probe(
             # The probes left have all taken the same number of steps, so
             # Adam's one step counter stays right for each of them.
             keep = ~stop
-            flat, grad, h = flat[keep], grad[keep], h[keep]
+            flat, grad, h, logits = flat[keep], grad[keep], h[keep], logits[keep]
             state.m[0], state.v[0] = state.m[0][keep], state.v[0][keep]
             params[0] = flat
             w, b = views(flat)
             grad_w, grad_b = views(grad)
-            live, prev, steady = live[keep], prev[keep], steady[keep]
+            live = live[keep]
+            prev = [value for value, kept in zip(prev, keep) if kept]
+            steady = [count for count, kept in zip(steady, keep) if kept]
     w_out[live] = w
     b_out[live] = b
     return w_out, b_out
@@ -321,19 +337,19 @@ def finetune_probs(
     query_x: np.ndarray,
     cfg: ProbeConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probe objective with the encoder unfrozen, on a cloned stack.
+    """Probe objective with the encoder unfrozen, on a copy of the stack's encoder.
 
     The caller's stack is never touched; probe initialization matches
     :func:`linear_probe_probs` for the same seed.
     """
     cfg = cfg or ProbeConfig()
     classes, y = _check_support(support_x, support_y)
-    work = stack.clone()
-    dtype = work.cfg.numpy_dtype()
+    encoder = copy.deepcopy(stack.encoder)
+    dtype = stack.cfg.numpy_dtype()
     (w,), (b,) = _fit_probe(
-        np.asarray(support_x, dtype=dtype)[None], y, len(classes), cfg, work.encoder
+        np.asarray(support_x, dtype=dtype)[None], y, len(classes), cfg, encoder
     )
-    h_query, _ = mlp_forward(work.encoder, np.asarray(query_x, dtype=dtype))
+    h_query, _ = mlp_forward(encoder, np.asarray(query_x, dtype=dtype))
     return classes, _softmax(h_query @ w.T + b)
 
 

@@ -15,6 +15,12 @@ from .errors import DimensionError, LossError, OptimizerError
 
 NORM_EPS = 1e-12
 
+# adam_step updates a tensor in leading-axis blocks of about this many bytes,
+# so each block's slices of p, g, m and v and its two temporaries stay in
+# cache across the update's passes. The update is elementwise, so the blocks
+# do not change its bits.
+ADAM_BLOCK_BYTES = 1 << 17
+
 
 @dataclass
 class DenseLayer:
@@ -56,8 +62,11 @@ def mlp_forward(
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Forward pass with ReLU between layers (none after the last).
 
-    Returns the output and a cache of (input, pre-activation) per layer for
-    :func:`mlp_backward`.
+    Returns the output and a cache of (input, activation) per layer for
+    :func:`mlp_backward`. Each layer allocates one array: the bias add and the
+    ReLU run in place on its pre-activation, so a hidden layer's activation is
+    also the next layer's input. ``max(z, 0) > 0`` exactly when ``z > 0``, so
+    the activation serves as the backward ReLU mask.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -69,9 +78,12 @@ def mlp_forward(
     cache: list[tuple[np.ndarray, np.ndarray]] = []
     h = x
     for i, layer in enumerate(layers):
-        z = h @ layer.weight.T + layer.bias
+        z = h @ layer.weight.T
+        z += layer.bias
+        if i < len(layers) - 1:
+            np.maximum(z, 0.0, out=z)
         cache.append((h, z))
-        h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
+        h = z
     return h, cache
 
 
@@ -80,19 +92,21 @@ def mlp_backward(
     cache: list[tuple[np.ndarray, np.ndarray]],
     d_out: np.ndarray,
 ) -> np.ndarray:
-    """Backpropagate through the stack, filling each layer's gradient buffers.
+    """Backpropagate through the stack, writing each layer's gradient buffers in place.
 
-    Returns the gradient with respect to the network input.
+    Returns the gradient with respect to the network input; ``d_out`` is
+    only read.
     """
     d_z = np.asarray(d_out)
     d_in = d_z
     for i in reversed(range(len(layers))):
         h_in, _ = cache[i]
-        layers[i].grad_weight[...] = d_z.T @ h_in
-        layers[i].grad_bias[...] = d_z.sum(axis=0)
+        np.matmul(d_z.T, h_in, out=layers[i].grad_weight)
+        np.sum(d_z, axis=0, out=layers[i].grad_bias)
         d_in = d_z @ layers[i].weight
         if i > 0:
-            d_z = d_in * (cache[i - 1][1] > 0.0)
+            d_in *= cache[i - 1][1] > 0.0
+            d_z = d_in
     return d_in
 
 
@@ -127,25 +141,32 @@ def infonce_loss(
     zhat = z / safe[:, None]
     zhat[degenerate] = 0.0
 
-    sims = zhat @ zhat.T
-    logits = sims / temperature
-    np.fill_diagonal(logits, -np.inf)
-
-    row_max = logits.max(axis=1)
-    expl = np.exp(logits - row_max[:, None])
-    np.fill_diagonal(expl, 0.0)
-    denom = expl.sum(axis=1)
-    losses = -(logits[np.arange(b), pos] - row_max) + np.log(denom)
+    # One B x B buffer holds the logits, then their exponentials, the
+    # softmax and finally the symmetrised gradient coefficients.
+    rows = np.arange(b)
+    buf = zhat @ zhat.T
+    buf /= temperature
+    np.fill_diagonal(buf, -np.inf)
+    row_max = buf.max(axis=1)
+    pos_logits = buf[rows, pos]
+    buf -= row_max[:, None]
+    np.exp(buf, out=buf)
+    np.fill_diagonal(buf, 0.0)
+    denom = buf.sum(axis=1)
+    losses = -(pos_logits - row_max) + np.log(denom)
     loss = float(losses.mean())
 
-    softmax = expl / denom[:, None]
-    coeff = softmax / (temperature * b)
-    coeff[np.arange(b), pos] -= 1.0 / (temperature * b)
-    np.fill_diagonal(coeff, 0.0)
+    buf /= denom[:, None]
+    buf /= temperature * b
+    buf[rows, pos] -= 1.0 / (temperature * b)
+    np.fill_diagonal(buf, 0.0)
+    buf += buf.T.copy()
 
-    d_zhat = (coeff + coeff.T) @ zhat
-    inner = (d_zhat * zhat).sum(axis=1, keepdims=True)
-    d_z = (d_zhat - inner * zhat) / safe[:, None]
+    d_z = buf @ zhat
+    inner = (d_z * zhat).sum(axis=1, keepdims=True)
+    zhat *= inner
+    d_z -= zhat
+    d_z /= safe[:, None]
     d_z[degenerate] = 0.0
     return loss, d_z
 
@@ -177,7 +198,8 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied in place.
+    """One bias-corrected Adam update, applied in place to ``params``,
+    ``state.m`` and ``state.v``.
 
     Fails fast on non-finite gradients. Deterministic: identical inputs and
     state produce bitwise-identical results.
@@ -187,16 +209,46 @@ def adam_step(
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise OptimizerError("non-finite gradient")
 
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if p.nbytes <= ADAM_BLOCK_BYTES:
+            _adam_update(p, g, m, v, state, bc1, bc2)
+            continue
+        rows = max(1, ADAM_BLOCK_BYTES * len(p) // p.nbytes)
+        for start in range(0, len(p), rows):
+            end = start + rows
+            _adam_update(p[start:end], g[start:end], m[start:end], v[start:end], state, bc1, bc2)
     return params, state
+
+
+def _adam_update(
+    p: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    state: AdamState,
+    bc1: float,
+    bc2: float,
+) -> None:
+    """The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, with
+    the moment updates, on two temporaries: ``work`` (the gradient's dtype) and
+    ``step`` (the moments' dtype)."""
+    work = g * (1.0 - state.beta1)
+    m *= state.beta1
+    m += work
+    np.square(g, out=work)
+    work *= 1.0 - state.beta2
+    v *= state.beta2
+    v += work
+    step = m / bc1
+    step *= state.lr
+    denom = np.divide(v, bc2, out=work) if work.dtype == v.dtype else v / bc2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step

@@ -9,7 +9,6 @@ separation ratio.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -109,9 +108,6 @@ class EncoderStack:
         for layer in self.encoder + self.projector:
             out.extend([layer.grad_weight, layer.grad_bias])
         return out
-
-    def clone(self) -> "EncoderStack":
-        return copy.deepcopy(self)
 
 
 @dataclass

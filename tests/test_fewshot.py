@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 
 import numpy as np
@@ -383,7 +384,7 @@ class TestEnsemble:
         y_sup = np.asarray(np.arange(8) % 2)
         x_qry = encode(pp, ds, idx.test[8:20])
         one = ensemble_predict([stack], x_sup, y_sup, x_qry, head="proto-cos")
-        two = ensemble_predict([stack, stack.clone()], x_sup, y_sup, x_qry, head="proto-cos")
+        two = ensemble_predict([stack, copy.deepcopy(stack)], x_sup, y_sup, x_qry, head="proto-cos")
         np.testing.assert_array_equal(one, two)
 
     def test_ensemble_at_least_min_member(self, eval_setup):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tabalign.errors import DimensionError, LossError, OptimizerError
 from tabalign.nncore import (
+    ADAM_BLOCK_BYTES,
+    NORM_EPS,
     AdamState,
     DenseLayer,
     adam_step,
@@ -19,6 +22,87 @@ from tabalign.nncore import (
 )
 
 from conftest import central_diff_grads, max_rel_error
+
+
+# Reference forms of the four step kernels, one fresh array per arithmetic
+# step. The in-place kernels must reproduce their bytes.
+
+
+def _reference_mlp_forward(layers, x):
+    cache = []
+    h = x
+    for i, layer in enumerate(layers):
+        z = h @ layer.weight.T + layer.bias
+        cache.append((h, z))
+        h = np.maximum(z, 0.0) if i < len(layers) - 1 else z
+    return h, cache
+
+
+def _reference_mlp_backward(layers, cache, d_out):
+    d_z = np.asarray(d_out)
+    d_in = d_z
+    for i in reversed(range(len(layers))):
+        h_in, _ = cache[i]
+        layers[i].grad_weight[...] = d_z.T @ h_in
+        layers[i].grad_bias[...] = d_z.sum(axis=0)
+        d_in = d_z @ layers[i].weight
+        if i > 0:
+            d_z = d_in * (cache[i - 1][1] > 0.0)
+    return d_in
+
+
+def _reference_infonce_loss(z, pos, temperature):
+    z = np.asarray(z, dtype=np.float64)
+    b = z.shape[0]
+    norms = np.linalg.norm(z, axis=1)
+    degenerate = norms < NORM_EPS
+    safe = np.where(degenerate, 1.0, norms)
+    zhat = z / safe[:, None]
+    zhat[degenerate] = 0.0
+
+    sims = zhat @ zhat.T
+    logits = sims / temperature
+    np.fill_diagonal(logits, -np.inf)
+
+    row_max = logits.max(axis=1)
+    expl = np.exp(logits - row_max[:, None])
+    np.fill_diagonal(expl, 0.0)
+    denom = expl.sum(axis=1)
+    losses = -(logits[np.arange(b), pos] - row_max) + np.log(denom)
+    loss = float(losses.mean())
+
+    softmax = expl / denom[:, None]
+    coeff = softmax / (temperature * b)
+    coeff[np.arange(b), pos] -= 1.0 / (temperature * b)
+    np.fill_diagonal(coeff, 0.0)
+
+    d_zhat = (coeff + coeff.T) @ zhat
+    inner = (d_zhat * zhat).sum(axis=1, keepdims=True)
+    d_z = (d_zhat - inner * zhat) / safe[:, None]
+    d_z[degenerate] = 0.0
+    return loss, d_z
+
+
+def _reference_adam_step(params, grads, state):
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def _peak_traced_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, results included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _random_net(rng, dims=(5, 7, 3)):
@@ -84,6 +168,70 @@ class TestMlpForward:
         for a, n in zip(analytic, numeric):
             assert max_rel_error(a, n) < 1e-6
 
+    @staticmethod
+    def _assert_bits_match_reference(layers, x, d_out):
+        ref_out, ref_cache = _reference_mlp_forward(layers, x)
+        ref_d_x = _reference_mlp_backward(layers, ref_cache, d_out)
+        ref_grads = [g.tobytes() for layer in layers for g in (layer.grad_weight, layer.grad_bias)]
+        out, cache = mlp_forward(layers, x)
+        d_x = mlp_backward(layers, cache, d_out)
+        assert out.tobytes() == ref_out.tobytes()
+        assert d_x.tobytes() == ref_d_x.tobytes()
+        assert [g.tobytes() for layer in layers for g in (layer.grad_weight, layer.grad_bias)] == ref_grads
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_match_reference_with_exact_zero_preactivations(self, dtype):
+        """Small integer weights make many hidden pre-activations exactly 0 (and
+        some -0.0), where the ReLU mask must still read ``z > 0``."""
+        rng = np.random.default_rng(5)
+        dims = (6, 9, 8, 4)
+        layers = [
+            DenseLayer(
+                rng.integers(-1, 2, size=(dims[i + 1], dims[i])).astype(dtype),
+                rng.integers(-1, 2, size=dims[i + 1]).astype(dtype),
+            )
+            for i in range(len(dims) - 1)
+        ]
+        x = rng.integers(-2, 3, size=(40, dims[0])).astype(dtype)
+        x[0] = -0.0
+        assert (_reference_mlp_forward(layers, x)[1][0][1] == 0.0).sum() > 20
+        self._assert_bits_match_reference(
+            layers, x, rng.normal(size=(40, dims[-1])).astype(dtype)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_match_reference_on_encoder_shapes(self, dtype):
+        rng = np.random.default_rng(6)
+        layers = [
+            init_layer(116, 256, rng, dtype),
+            init_layer(256, 64, rng, dtype),
+            init_layer(64, 32, rng, dtype),
+        ]
+        self._assert_bits_match_reference(
+            layers,
+            rng.normal(size=(300, 116)).astype(dtype),
+            rng.normal(size=(300, 32)).astype(dtype),
+        )
+
+    def test_cache_holds_input_and_activation(self):
+        rng = np.random.default_rng(8)
+        layers = _random_net(rng)
+        x = rng.normal(size=(6, 5))
+        out, cache = mlp_forward(layers, x)
+        assert cache[0][0] is x
+        assert cache[1][0] is cache[0][1]
+        assert cache[1][1] is out
+        assert np.all(cache[0][1] >= 0.0)
+
+    def test_peak_memory_is_outputs_and_cache(self):
+        """32 -> 1024 -> 256 on 1024 rows allocates the hidden activation and the
+        output, and no pre-activation copy beside them."""
+        rng = np.random.default_rng(0)
+        layers = [init_layer(32, 1024, rng), init_layer(1024, 256, rng)]
+        x = rng.normal(size=(1024, 32))
+        held = 8 * 1024 * (1024 + 256)
+        assert _peak_traced_bytes(lambda: mlp_forward(layers, x)) <= held + (1 << 17)
+
 
 class TestInfoNCE:
     def test_batch_of_two_is_exact_zero(self):
@@ -121,6 +269,28 @@ class TestInfoNCE:
             tau = float(rng.uniform(0.05, 1.0))
             loss, _ = infonce_loss(z, pos, temperature=tau)
             assert -1e-9 <= loss <= math.log(b - 1) + 2.0 / tau + 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("b", [2, 3, 312, 1024])
+    def test_bits_match_reference(self, b, dtype):
+        rng = np.random.default_rng(b)
+        z = rng.normal(size=(b, 48)).astype(dtype)
+        z[b // 2] = 0.0
+        pos = (np.arange(b) + 1 + rng.integers(b - 1, size=b)) % b
+        before = z.copy()
+        ref_loss, ref_d_z = _reference_infonce_loss(z, pos, 0.1)
+        loss, d_z = infonce_loss(z, pos, temperature=0.1)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert d_z.dtype == np.float64
+        assert d_z.tobytes() == ref_d_z.tobytes()
+        assert z.tobytes() == before.tobytes()
+
+    def test_peak_memory_is_one_square_buffer_and_its_transpose(self):
+        b = 512
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(b, 64))
+        pos = (np.arange(b) + 1) % b
+        assert _peak_traced_bytes(lambda: infonce_loss(z, pos)) < 3 * b * b * 8
 
     def test_contract_violations(self):
         with pytest.raises(LossError):
@@ -180,6 +350,31 @@ class TestAdam:
             adam_step([p2], [g], s2)
         assert p1.tobytes() == p2.tobytes()
         assert s1.m[0].tobytes() == s2.m[0].tobytes()
+
+    def test_bits_match_reference_on_mixed_precision_tensors(self):
+        """The float32 fine-tune case: a float64 (M, C*E + C) probe buffer
+        trains beside float32 encoder tensors. Tensors above ADAM_BLOCK_BYTES,
+        some with a ragged last block, are updated in blocks; the last tensor
+        takes a float64 gradient for float32 parameters."""
+        rng = np.random.default_rng(4)
+        f32, f64 = np.float32, np.float64
+        specs = [((2, 1028), f64, f64), ((300, 116), f32, f32), ((300,), f32, f32),
+                 ((256, 300), f32, f32), ((256,), f32, f32), ((50_000,), f32, f32),
+                 ((170, 200), f64, f64), ((64, 9), f32, f64)]
+        params = [rng.normal(size=shape).astype(dtype) for shape, dtype, _ in specs]
+        assert sum(p.nbytes > ADAM_BLOCK_BYTES for p in params) == 4
+        ref_params = [p.copy() for p in params]
+        state = AdamState.for_params(params, lr=0.001)
+        ref_state = AdamState.for_params(ref_params, lr=0.001)
+        for _ in range(20):
+            grads = [rng.normal(size=shape).astype(g_dtype) for shape, _, g_dtype in specs]
+            grads[1][:3] = 0.0
+            adam_step(params, grads, state)
+            _reference_adam_step(ref_params, grads, ref_state)
+            for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert state.t == ref_state.t == 20
 
     def test_nonfinite_gradient_fails_fast(self):
         theta = np.array([1.0])

@@ -15,12 +15,6 @@ from .errors import DimensionError, LossError, OptimizerError
 
 NORM_EPS = 1e-12
 
-# adam_step updates a tensor in leading-axis blocks of about this many bytes,
-# so each block's slices of p, g, m and v and its two temporaries stay in
-# cache across the update's passes. The update is elementwise, so the blocks
-# do not change its bits.
-ADAM_BLOCK_BYTES = 1 << 17
-
 
 @dataclass
 class DenseLayer:
@@ -209,46 +203,28 @@ def adam_step(
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.isfinite(g).all():
+        if not np.all(np.isfinite(g)):
             raise OptimizerError("non-finite gradient")
 
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.nbytes <= ADAM_BLOCK_BYTES:
-            _adam_update(p, g, m, v, state, bc1, bc2)
-            continue
-        rows = max(1, ADAM_BLOCK_BYTES * len(p) // p.nbytes)
-        for start in range(0, len(p), rows):
-            end = start + rows
-            _adam_update(p[start:end], g[start:end], m[start:end], v[start:end], state, bc1, bc2)
+        # The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` and
+        # the moment updates, in their order, on two temporaries: ``work``
+        # (the gradient's dtype) and ``step`` (the moments' dtype).
+        work = g * (1.0 - state.beta1)
+        m *= state.beta1
+        m += work
+        np.square(g, out=work)
+        work *= 1.0 - state.beta2
+        v *= state.beta2
+        v += work
+        step = m / bc1
+        step *= state.lr
+        denom = np.divide(v, bc2, out=work) if work.dtype == v.dtype else v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
     return params, state
-
-
-def _adam_update(
-    p: np.ndarray,
-    g: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    state: AdamState,
-    bc1: float,
-    bc2: float,
-) -> None:
-    """The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, with
-    the moment updates, on two temporaries: ``work`` (the gradient's dtype) and
-    ``step`` (the moments' dtype)."""
-    work = g * (1.0 - state.beta1)
-    m *= state.beta1
-    m += work
-    np.square(g, out=work)
-    work *= 1.0 - state.beta2
-    v *= state.beta2
-    v += work
-    step = m / bc1
-    step *= state.lr
-    denom = np.divide(v, bc2, out=work) if work.dtype == v.dtype else v / bc2
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    step /= denom
-    p -= step

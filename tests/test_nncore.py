@@ -10,7 +10,6 @@ import pytest
 
 from tabalign.errors import DimensionError, LossError, OptimizerError
 from tabalign.nncore import (
-    ADAM_BLOCK_BYTES,
     NORM_EPS,
     AdamState,
     DenseLayer,
@@ -353,16 +352,14 @@ class TestAdam:
 
     def test_bits_match_reference_on_mixed_precision_tensors(self):
         """The float32 fine-tune case: a float64 (M, C*E + C) probe buffer
-        trains beside float32 encoder tensors. Tensors above ADAM_BLOCK_BYTES,
-        some with a ragged last block, are updated in blocks; the last tensor
-        takes a float64 gradient for float32 parameters."""
+        trains beside float32 encoder tensors; the last tensor takes a float64
+        gradient for float32 parameters."""
         rng = np.random.default_rng(4)
         f32, f64 = np.float32, np.float64
         specs = [((2, 1028), f64, f64), ((300, 116), f32, f32), ((300,), f32, f32),
                  ((256, 300), f32, f32), ((256,), f32, f32), ((50_000,), f32, f32),
                  ((170, 200), f64, f64), ((64, 9), f32, f64)]
         params = [rng.normal(size=shape).astype(dtype) for shape, dtype, _ in specs]
-        assert sum(p.nbytes > ADAM_BLOCK_BYTES for p in params) == 4
         ref_params = [p.copy() for p in params]
         state = AdamState.for_params(params, lr=0.001)
         ref_state = AdamState.for_params(ref_params, lr=0.001)

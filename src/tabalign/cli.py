@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis as analysis_mod
 from . import theory as theory_mod
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, preprocessor_header, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import Dataset, SplitIndices, load_csv, split
 from .errors import (
@@ -113,13 +113,9 @@ def _load_ensemble(ckpt_dir: Path) -> tuple[list[EncoderStack], Preprocessor]:
         raise ConfigError(f"no .ckpt files under {ckpt_dir}")
     members = [load_checkpoint(path) for path in paths]
     for path, (_, pp) in zip(paths, members):
-        if _fitted_stats(pp) != _fitted_stats(members[0][1]):
+        if preprocessor_header(pp) != preprocessor_header(members[0][1]):
             raise ConfigError(f"{path.name} and {paths[0].name} have different preprocessors")
     return [stack for stack, _ in members], members[0][1]
-
-
-def _fitted_stats(pp: Preprocessor) -> tuple:
-    return pp.kinds, pp.ranges, pp.normalize, pp.cardinalities, pp.means.tolist(), pp.stds.tolist()
 
 
 def _protocol(cfg: RunConfig, ds: Dataset, **changes) -> Protocol:

@@ -50,7 +50,8 @@ class Protocol:
     """Episode-loop settings for :func:`evaluate`.
 
     Raises :class:`ConfigError` on a ``head`` that is neither ``"auto"`` nor
-    one of :data:`HEADS`.
+    one of :data:`HEADS`, on ``n_way`` < 0 (0 takes every class), or on
+    ``k_shot``, ``n_episodes``, ``n_seeds`` or ``n_query_per_class`` < 1.
     """
 
     n_way: int
@@ -64,6 +65,10 @@ class Protocol:
     def __post_init__(self) -> None:
         if self.head not in ("auto",) + HEADS:
             raise ConfigError(f"head must be one of auto/{'/'.join(HEADS)}, got {self.head!r}")
+        counts = ("k_shot", "n_episodes", "n_seeds", "n_query_per_class")
+        for name, least in [("n_way", 0)] + [(name, 1) for name in counts]:
+            if not getattr(self, name) >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
     def resolved_head(self) -> str:
         if self.head != "auto":

@@ -32,13 +32,17 @@ DEFAULT_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 _IMPUTATIONS = ("zero", "marginal")
+# The smallest value of each integer setting; a batch of 1 has no neighbour to pair with.
+_LEAST = {"max_epochs": 1, "batch_size": 2, "hidden_dim": 1, "embed_dim": 1, "projector_dim": 1}
 
 
 @dataclass
 class PretrainConfig:
     """Training hyperparameters; defaults follow the standard recipe.
 
-    Raises :class:`ConfigError` on an unknown ``imputation`` or ``dtype``.
+    Raises :class:`ConfigError` on an unknown ``imputation`` or ``dtype``, on
+    ``max_epochs`` < 1, ``batch_size`` < 2 or a width < 1, and unless
+    ``temperature`` and ``learning_rate`` are finite and positive.
     """
 
     max_epochs: int = 10000
@@ -60,6 +64,12 @@ class PretrainConfig:
             )
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be {' or '.join(map(repr, _DTYPES))}, got {self.dtype!r}")
+        for name, least in _LEAST.items():
+            if not getattr(self, name) >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        for name in ("temperature", "learning_rate"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
     def numpy_dtype(self) -> np.dtype:
         return _DTYPES[self.dtype]
@@ -122,6 +132,17 @@ class PretrainReport:
     wall_seconds: float
 
 
+def layer_shapes(encoded_dim: int, cfg: PretrainConfig) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of encoder layers 1 and 2, then projector layers 1 and 2."""
+    proj_in = cfg.embed_dim + (encoded_dim if cfg.conditioned else 0)
+    return [
+        (encoded_dim, cfg.hidden_dim),
+        (cfg.hidden_dim, cfg.embed_dim),
+        (proj_in, cfg.hidden_dim),
+        (cfg.hidden_dim, cfg.projector_dim),
+    ]
+
+
 def init_stack(
     encoded_dim: int,
     ratio: float | str,
@@ -134,16 +155,8 @@ def init_stack(
         raise TrainingError(f"separation ratio must be in (0, 1) or 'random', got {ratio}")
     dtype = cfg.numpy_dtype()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-    encoder = [
-        init_layer(encoded_dim, cfg.hidden_dim, rng, dtype),
-        init_layer(cfg.hidden_dim, cfg.embed_dim, rng, dtype),
-    ]
-    proj_in = cfg.embed_dim + (encoded_dim if cfg.conditioned else 0)
-    projector = [
-        init_layer(proj_in, cfg.hidden_dim, rng, dtype),
-        init_layer(cfg.hidden_dim, cfg.projector_dim, rng, dtype),
-    ]
-    return EncoderStack(encoder=encoder, projector=projector, ratio=ratio, seed=seed, cfg=cfg)
+    layers = [init_layer(n_in, n_out, rng, dtype) for n_in, n_out in layer_shapes(encoded_dim, cfg)]
+    return EncoderStack(encoder=layers[:2], projector=layers[2:], ratio=ratio, seed=seed, cfg=cfg)
 
 
 # Elements per Gram block (8 MB in float64): a batch of 1024 is one block.

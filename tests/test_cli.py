@@ -147,6 +147,12 @@ class TestPretrainCommand:
         )
         assert main(["pretrain", "--config", str(bad)]) == 2
 
+    def test_batch_of_one_is_usage_error(self, workdir):
+        bad = workdir / "batch1.ini"
+        text = (workdir / "small.ini").read_text()
+        bad.write_text(text.replace("batch_size = 64", "batch_size = 1"))
+        assert main(["pretrain", "--config", str(bad), "--out-dir", str(workdir / "batch1")]) == 2
+
     def test_missing_config_flag_is_usage_error(self):
         assert main(["pretrain"]) == 2
 
@@ -206,6 +212,17 @@ class TestEvalCommand:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_zero_episodes_is_usage_error(self, workdir):
+        rc = main(
+            [
+                "eval", str(workdir / "run"),
+                "--config", str(workdir / "small.ini"),
+                "--episodes", "0",
+                "--out", str(workdir / "eval0.csv"),
+            ]
+        )
+        assert rc == 2
 
     def test_empty_checkpoint_dir_is_usage_error(self, workdir):
         empty = workdir / "empty"

@@ -177,6 +177,12 @@ def test_ratio_lists(tmp_path, text, ratios):
         _with("eval", "head = banana"),
         _with("pretrain", "imputation = marginl"),
         _with("pretrain", "dtype = float16"),
+        # ranges (PretrainConfig's are in test_pretrain.py)
+        _with("eval", "n_way = -1"),
+        _with("eval", "k_shot = 0"),
+        _with("eval", "episodes = 0"),
+        _with("eval", "seeds = 0"),
+        _with("eval", "n_query = 0"),
     ],
 )
 def test_rejected_configs(tmp_path, text):

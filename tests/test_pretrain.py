@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import importlib
+import json
 import struct
 from pathlib import Path
 from unittest import mock
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabalign.checkpoint import load_checkpoint, save_checkpoint
+from tabalign.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tabalign.data import split
 from tabalign.errors import CheckpointError, ConfigError, TrainingError
+from tabalign.fewshot import embed
 from tabalign.preprocess import encode, fit
 from tabalign.pretrain import (
     RATIO_RANDOM,
@@ -311,6 +313,34 @@ class TestVariants:
         with pytest.raises(ConfigError):
             PretrainConfig(**change)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"max_epochs": 0},
+            {"batch_size": 1},
+            {"hidden_dim": 0},
+            {"embed_dim": 0},
+            {"projector_dim": 0},
+            {"temperature": 0.0},
+            {"temperature": -0.1},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"learning_rate": 0.0},
+            {"learning_rate": -0.001},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_out_of_range_setting_rejected(self, change):
+        with pytest.raises(ConfigError, match=next(iter(change))):
+            PretrainConfig(**change)
+
+    def test_smallest_settings_accepted(self):
+        cfg = PretrainConfig(max_epochs=1, batch_size=2, patience=0, hidden_dim=1, embed_dim=1,
+                             projector_dim=1, temperature=1e-3, learning_rate=1e-6)
+        assert cfg.patience == 0
+
     def test_unconditioned_training_converges(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(
@@ -354,6 +384,7 @@ class TestCheckpoint:
         loaded, loaded_pp = load_checkpoint(path)
 
         assert loaded.ratio == pytest.approx(0.3)
+        assert loaded.seed == 8 and loaded.cfg == cfg
         assert loaded.conditioned == stack.conditioned
         for p, q in zip(stack.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(p, q)
@@ -370,6 +401,23 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.ckpt", stack, pp)
         save_checkpoint(tmp_path / "b.ckpt", stack, pp)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_float32_member_reloads_as_float32(self, encoded_gauss, tmp_path):
+        """dtype, temperature, imputation and seed survive a save and a load."""
+        pp, x_train, x_valid = encoded_gauss
+        cfg = PretrainConfig(
+            **{**SMALL_CFG.__dict__, "dtype": "float32", "temperature": 0.5,
+               "imputation": "marginal", "max_epochs": 1}
+        )
+        stack = init_stack(pp.encoded_dim, 0.3, seed=7, cfg=cfg)
+        pretrain(stack, x_train, x_valid, pp)
+        save_checkpoint(tmp_path / "f32.ckpt", stack, pp)
+        loaded, _ = load_checkpoint(tmp_path / "f32.ckpt")
+
+        assert loaded.cfg.dtype == "float32" and loaded.cfg.temperature == 0.5
+        assert loaded.cfg.imputation == "marginal" and loaded.seed == 7
+        assert all(p.dtype == np.float32 for p in loaded.parameters())
+        assert embed(loaded, x_valid).tobytes() == embed(stack, x_valid).tobytes()
 
     def test_random_ratio_roundtrip(self, encoded_gauss, tmp_path):
         pp, _, _ = encoded_gauss
@@ -431,9 +479,66 @@ class TestCheckpoint:
         path = tmp_path / "n.ckpt"
         save_checkpoint(path, stack, pp)
         blob = bytearray(path.read_bytes())
-        # Header: magic, version, ratio (<Bd), six dims (<6I); then encoder W1, b1.
-        offset = 8 + 4 + 9 + 24 + 8 * stack.encoder[0].weight.size
+        # Magic, version and header length, the JSON header, then encoder W1, b1.
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        offset = 16 + header_len + 8 * stack.encoder[0].weight.size
         blob[offset : offset + 8] = struct.pack("<d", np.nan)
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="encoder b1"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, encoded_gauss, tmp_path):
+        pp, _, _ = encoded_gauss
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_v1_layout_rejected(self, tmp_path):
+        """A format-1 file: magic, version 1, then the ratio flag and six dims."""
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Bd", 0, 0.2)
+                         + struct.pack("<6I", 16, 32, 16, 32, 32, 16))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(path)
+
+    def test_corrupt_json_header_rejected(self, encoded_gauss, tmp_path):
+        pp, _, _ = encoded_gauss
+        path = tmp_path / "j.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
+        blob = bytearray(path.read_bytes())
+        assert blob[16:17] == b"{"
+        blob[16:17] = b"["
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda h: h.pop("seed"), "malformed header"),
+            (lambda h: h.update(extra=1), "malformed header"),
+            (lambda h: h["config"].pop("dtype"), "malformed header"),
+            (lambda h: h["config"].update(temperature=-1.0), "malformed header"),
+            (lambda h: h["config"].update(dtype="float16"), "malformed header"),
+            (lambda h: h["preprocessor"].pop("normalize"), "malformed header"),
+            (lambda h: h["preprocessor"]["kinds"].__setitem__(0, "ordinal"), "unknown column kind"),
+        ],
+        ids=[
+            "no-seed", "extra-key", "no-config-dtype", "negative-temperature",
+            "unknown-dtype", "no-normalize", "unknown-kind",
+        ],
+    )
+    def test_bad_header_rejected(self, encoded_gauss, tmp_path, edit, match):
+        pp, _, _ = encoded_gauss
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        header = json.loads(blob[16 : 16 + header_len])
+        edit(header)
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + header_len :])
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)

@@ -31,7 +31,6 @@ from .errors import (
 from .fewshot import (
     HEADS,
     EvalReport,
-    Protocol,
     evaluate,
     write_report_csv,
     write_summary_csv,
@@ -118,12 +117,6 @@ def _load_ensemble(ckpt_dir: Path) -> tuple[list[EncoderStack], Preprocessor]:
     return [stack for stack, _ in members], members[0][1]
 
 
-def _protocol(cfg: RunConfig, ds: Dataset, **changes) -> Protocol:
-    """The configured protocol with ``changes``; an ``n_way`` of 0 takes every class."""
-    protocol = dataclasses.replace(cfg.protocol, **changes)
-    return protocol if protocol.n_way > 0 else dataclasses.replace(protocol, n_way=ds.n_classes)
-
-
 def cmd_pretrain(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     if args.out_dir:
@@ -149,7 +142,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ds.name = cfg.dataset_name or ds.name
     indices = split(ds, cfg.split_seed)
     changes = {k: v for k, v in flags.items() if v is not None}
-    report = evaluate(members, pp, ds, indices, _protocol(cfg, ds, **changes))
+    report = evaluate(members, pp, ds, indices, dataclasses.replace(cfg.protocol, **changes))
 
     out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
     write_report_csv(report, out)
@@ -187,7 +180,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if args.axis in variants:
         for variant, variant_cfg in variants[args.axis]:
             stacks, _, pp, ds, indices = _train_ensemble(variant_cfg, out_dir / variant)
-            rows.append((variant, evaluate(stacks, pp, ds, indices, _protocol(cfg, ds))))
+            rows.append((variant, evaluate(stacks, pp, ds, indices, cfg.protocol)))
     elif args.axis == "ratio":
         # The ratio axis always sweeps the standard grid plus the two
         # aggregate modes, regardless of the configured deployment ensemble.
@@ -198,19 +191,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             rows.append(
                 (
                     _ratio_tag(stack.ratio),
-                    evaluate([stack], pp, ds, indices, _protocol(cfg, ds)),
+                    evaluate([stack], pp, ds, indices, cfg.protocol),
                 )
             )
-        rows.append(("ensemble", evaluate(fixed, pp, ds, indices, _protocol(cfg, ds))))
+        rows.append(("ensemble", evaluate(fixed, pp, ds, indices, cfg.protocol)))
         rows.append(
-            (RATIO_RANDOM, evaluate([random_member], pp, ds, indices, _protocol(cfg, ds)))
+            (RATIO_RANDOM, evaluate([random_member], pp, ds, indices, cfg.protocol))
         )
     elif args.axis == "classifier":
         stacks, _, pp, ds, indices = _train_ensemble(cfg, out_dir / "members")
         for head in ("linear", "proto-eucl", "proto-cos", "knn-eucl", "knn-cos", "finetune"):
-            rows.append(
-                (head, evaluate(stacks, pp, ds, indices, _protocol(cfg, ds, head=head)))
-            )
+            protocol = dataclasses.replace(cfg.protocol, head=head)
+            rows.append((head, evaluate(stacks, pp, ds, indices, protocol)))
     else:
         raise ConfigError(f"unknown ablation axis {args.axis!r}")
 

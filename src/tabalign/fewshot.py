@@ -120,15 +120,26 @@ def _check_support(
     """Sorted class ids of the support labels and each label's index among them.
 
     Rejects missing or empty labels, and labels whose count differs from the
-    number of support rows (axis -2 of ``support_x``).
+    number of support rows (axis -2 of ``support_x``). ``support_y`` is (n,),
+    or (M, n) with one label row per probe of an (M, n, E) stack; every row
+    must then hold the same number of classes, and the class ids are (M, C).
     """
     if support_y is None or len(support_y) == 0:
         raise HeadError("support set must be labeled and non-empty")
+    labels = np.asarray(support_y)
     n_rows = np.shape(support_x)[-2]
-    if n_rows != len(support_y):
-        raise HeadError(f"support has {n_rows} rows but {len(support_y)} labels")
-    classes = np.unique(np.asarray(support_y))
-    return classes, np.searchsorted(classes, support_y)
+    if n_rows != labels.shape[-1]:
+        raise HeadError(f"support has {n_rows} rows but {labels.shape[-1]} labels")
+    if labels.ndim == 1:
+        classes = np.unique(labels)
+        return classes, np.searchsorted(classes, labels)
+    if np.ndim(support_x) != 3 or len(labels) != len(support_x):
+        raise HeadError(f"{len(labels)} label rows for support of shape {np.shape(support_x)}")
+    per_probe = [np.unique(row) for row in labels]
+    if len({len(classes) for classes in per_probe}) != 1:
+        raise HeadError("stacked probes must each see the same number of classes")
+    classes = np.stack(per_probe)
+    return classes, np.stack([np.searchsorted(c, row) for c, row in zip(classes, labels)])
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -171,29 +182,42 @@ def prototype_probs(
     return classes, _softmax(logits)
 
 
-def _init_probe(
-    embed_dim: int, n_way: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    # Small uniform weights, zero bias.
+def _init_probe(embed_dim: int, n_way: int, seed: int) -> np.ndarray:
+    """Small uniform (n_way, embed_dim) weights drawn from ``seed``; biases start at zero."""
     bound = 1.0 / math.sqrt(embed_dim)
-    return rng.uniform(-bound, bound, size=(n_way, embed_dim)), np.zeros(n_way)
+    return np.random.default_rng(seed).uniform(-bound, bound, size=(n_way, embed_dim))
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _label_constants(y: np.ndarray, n_way: int) -> tuple[np.ndarray, np.ndarray]:
+    """The label terms of :func:`_cross_entropy` for (M, n) label indices ``y``.
+
+    Returns each label logit's flat index, in C order, into (M, n, n_way)
+    logits, and the (M, n, n_way) one-hot labels as floats. Both stay fixed
+    while the same probes train, so the probe loop builds them once.
+    """
+    n_probes, n = y.shape
+    picks = (np.arange(n_probes)[:, None] * n + np.arange(n)) * n_way + y
+    return picks, (y[..., None] == np.arange(n_way)).astype(np.float64)
+
+
+def _cross_entropy(
+    logits: np.ndarray, picks: np.ndarray, onehot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy of each probe and its gradient with respect to the logits.
 
-    ``logits`` is (M, n, C) for M probes sharing the labels ``y``; returns (M,)
-    losses and (M, n, C) gradients. The softmax and the gradient are computed
-    in place: ``logits`` is overwritten and returned as the gradient.
+    ``logits`` is (M, n, C) for M probes, and ``picks`` and ``onehot`` come
+    from :func:`_label_constants`; returns (M,) losses and (M, n, C)
+    gradients. The softmax and the gradient are computed in place: ``logits``
+    is overwritten and returned as the gradient.
     """
-    n, n_way = logits.shape[1:]
+    n = logits.shape[1]
     d = logits
     d -= d.max(axis=-1, keepdims=True)
     np.exp(d, out=d)
     d /= d.sum(axis=-1, keepdims=True)
-    loss = -np.log(d[:, np.arange(n), y] + 1e-300).sum(axis=1) / n
+    loss = -np.log(np.take(d, picks) + 1e-300).sum(axis=1) / n
     # Subtracting the one-hot labels leaves every other entry as it is (x - 0.0 == x).
-    d -= y[:, None] == np.arange(n_way)
+    d -= onehot
     d /= n
     return loss, d
 
@@ -202,61 +226,67 @@ def _fit_probe(
     x: np.ndarray,
     y: np.ndarray,
     n_way: int,
-    cfg: ProbeConfig,
+    seeds: list[int],
+    max_epochs: int,
     encoder: list[DenseLayer] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train a stack of affine heads ``(w, b)`` on ``x`` with full-batch Adam.
 
-    ``x`` is (M, n, d). Without ``encoder``, ``x[m]`` holds member m's frozen
-    embeddings and M probes train together. With it, M is 1, ``x[0]`` holds
-    encoder inputs and the encoder's layers train with the head, in place.
-    Every probe starts from the same ``cfg.seed`` draw. A probe stops after
-    ``cfg.max_epochs`` steps, or once its loss has changed by less than
-    ``PROBE_TOL`` for ``PROBE_TOL_PATIENCE`` consecutive steps; it then leaves the
-    stack, so each probe ends with the bits it would have if trained alone.
-    Returns (M, C, E) weights and (M, C) biases.
+    ``x`` is (M, n, d) and ``y`` the (M, n) label indices, one row per probe.
+    Without ``encoder``, ``x[m]`` holds probe m's frozen embeddings and M
+    probes train together. With it, M is 1, ``x[0]`` holds encoder inputs and
+    the encoder's layers train with the head, in place. Probe m starts from
+    the ``seeds[m]`` draw. A probe stops after ``max_epochs`` steps, or once
+    its loss has changed by less than ``PROBE_TOL`` for ``PROBE_TOL_PATIENCE``
+    consecutive steps; it then leaves the stack, so each probe ends with the
+    bits it would have if trained alone. Returns (M, C, E) weights and (M, C)
+    biases.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n_probes = x.shape[0]
+    n_probes = len(y)
     dim = x.shape[2] if encoder is None else encoder[-1].out_dim
-    w0, b0 = _init_probe(dim, n_way, rng)
+    draws = {seed: _init_probe(dim, n_way, seed).ravel() for seed in dict.fromkeys(seeds)}
     # Each probe's w and b are views into one row of ``flat``, so Adam updates
     # one tensor per step; ``grad`` is laid out the same way.
-    flat = np.empty((n_probes, n_way * dim + n_way))
-    flat[:, : n_way * dim] = w0.ravel()
-    flat[:, n_way * dim :] = b0
+    flat = np.zeros((n_probes, n_way * dim + n_way))
+    flat[:, : n_way * dim] = [draws[seed] for seed in seeds]
     grad = np.empty_like(flat)
-
-    def views(buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return buffer[:, : n_way * dim].reshape(-1, n_way, dim), buffer[:, n_way * dim :]
-
     params = [flat] + [t for layer in encoder or () for t in (layer.weight, layer.bias)]
     state = AdamState.for_params(params, lr=PROBE_LR)
-    w, b = views(flat)
-    grad_w, grad_b = views(grad)
-
-    w_out = np.empty((n_probes, n_way, dim))
-    b_out = np.empty((n_probes, n_way))
-    live = np.arange(n_probes)
     # Frozen float32 embeddings are upcast once here rather than in each
     # matmul against the float64 probes; the products are the same.
     h = np.asarray(x, dtype=flat.dtype)
     # Each step's logits, and then their gradient, are written into this one buffer.
     logits = np.empty((n_probes, x.shape[1], n_way))
-    # Per-probe stop counters on Python floats: cheaper than arrays at M <= a few.
+
+    def step_constants() -> tuple[np.ndarray, ...]:
+        """What each step reads besides ``h`` for the probes in the stack: the
+        views of ``flat``, ``grad`` and ``logits``, and the label terms."""
+        w, grad_w = (t[:, : n_way * dim].reshape(-1, n_way, dim) for t in (flat, grad))
+        b, grad_b = flat[:, n_way * dim :], grad[:, n_way * dim :]
+        return (
+            w, b, w.swapaxes(1, 2), b[:, None], grad_w, grad_b, logits.swapaxes(1, 2),
+            *_label_constants(y, n_way),
+        )
+
+    w, b, w_t, b_rows, grad_w, grad_b, d_logits_t, picks, onehot = step_constants()
+    w_out = np.empty((n_probes, n_way, dim))
+    b_out = np.empty((n_probes, n_way))
+    live = np.arange(n_probes)
+    # Per-probe stop counters on Python floats: cheaper than arrays at M <= a few,
+    # and a small share of a step at M in the hundreds.
     prev = [math.inf] * n_probes
     steady = [0] * n_probes
-    for _ in range(cfg.max_epochs):
+    for _ in range(max_epochs):
         if encoder is not None:
             h, cache = mlp_forward(encoder, x[0])
             h = h[None]
-        np.matmul(h, w.swapaxes(1, 2), out=logits)
-        logits += b[:, None]
-        loss, d_logits = _cross_entropy(logits, y)
+        np.matmul(h, w_t, out=logits)
+        logits += b_rows
+        loss, d_logits = _cross_entropy(logits, picks, onehot)
         losses = loss.tolist()
         if not all(map(math.isfinite, losses)):
             raise HeadError("non-finite probe loss")
-        np.matmul(d_logits.swapaxes(1, 2), h, out=grad_w)
+        np.matmul(d_logits_t, h, out=grad_w)
         np.sum(d_logits, axis=1, out=grad_b)
         grads = [grad]
         if encoder is not None:
@@ -277,11 +307,10 @@ def _fit_probe(
             # The probes left have all taken the same number of steps, so
             # Adam's one step counter stays right for each of them.
             keep = ~stop
-            flat, grad, h, logits = flat[keep], grad[keep], h[keep], logits[keep]
+            flat, grad, h, logits, y = flat[keep], grad[keep], h[keep], logits[keep], y[keep]
             state.m[0], state.v[0] = state.m[0][keep], state.v[0][keep]
             params[0] = flat
-            w, b = views(flat)
-            grad_w, grad_b = views(grad)
+            w, b, w_t, b_rows, grad_w, grad_b, d_logits_t, picks, onehot = step_constants()
             live = live[keep]
             prev = [value for value, kept in zip(prev, keep) if kept]
             steady = [count for count, kept in zip(steady, keep) if kept]
@@ -294,22 +323,32 @@ def linear_probe_probs(
     support_x: np.ndarray,
     support_y: np.ndarray,
     query_x: np.ndarray,
-    cfg: ProbeConfig | None = None,
+    cfg: ProbeConfig | list[ProbeConfig] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train an affine classifier on frozen support embeddings; return query probabilities.
 
     With (n, E) vectors the probabilities are (n_query, C). With a leading
-    member axis, (M, n, E) support and (M, n_query, E) query vectors, one
-    probe per member trains in a single stacked loop, each stopping where it
-    would alone, and the probabilities are (M, n_query, C).
+    probe axis, (M, n, E) support and (M, n_query, E) query vectors, M probes
+    train in a single stacked loop, each stopping where it would alone, and
+    the probabilities are (M, n_query, C). The labels are then (n,), shared
+    by every probe, or (M, n) with (M, C) class ids, and ``cfg`` is one
+    config for every probe or a list of M that agree on ``max_epochs``.
     """
-    cfg = cfg or ProbeConfig()
     classes, y = _check_support(support_x, support_y)
     sup, qry = np.asarray(support_x), np.asarray(query_x)
     single = sup.ndim == 2
     if single:
         sup, qry = sup[None], qry[None]
-    w, b = _fit_probe(sup, y, len(classes), cfg)
+    cfgs = cfg if isinstance(cfg, list) else [cfg or ProbeConfig()] * len(sup)
+    if len(cfgs) != len(sup) or len({c.max_epochs for c in cfgs}) != 1:
+        raise HeadError(f"{len(sup)} probes need as many configs with one max_epochs")
+    w, b = _fit_probe(
+        sup,
+        np.broadcast_to(y, sup.shape[:2]),
+        classes.shape[-1],
+        [c.seed for c in cfgs],
+        cfgs[0].max_epochs,
+    )
     probs = _softmax(np.matmul(qry, w.swapaxes(1, 2)) + b[:, None])
     return classes, probs[0] if single else probs
 
@@ -352,7 +391,12 @@ def finetune_probs(
     encoder = copy.deepcopy(stack.encoder)
     dtype = stack.cfg.numpy_dtype()
     (w,), (b,) = _fit_probe(
-        np.asarray(support_x, dtype=dtype)[None], y, len(classes), cfg, encoder
+        np.asarray(support_x, dtype=dtype)[None],
+        y[None],
+        len(classes),
+        [cfg.seed],
+        cfg.max_epochs,
+        encoder,
     )
     h_query, _ = mlp_forward(encoder, np.asarray(query_x, dtype=dtype))
     return classes, _softmax(h_query @ w.T + b)
@@ -373,45 +417,88 @@ def _frozen_probs(
     raise HeadError(f"unknown head {head!r}")
 
 
+def _stack_episodes(
+    results: list[list[tuple[np.ndarray, np.ndarray]]],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-member lists of per-episode ``(classes, probs)`` as (P, n_way) class
+    ids, taken from the first member, and one (P, n_query, n_way) array per member."""
+    classes = np.stack([c for c, _ in results[0]])
+    return classes, [np.stack([probs for _, probs in result]) for result in results]
+
+
 def _member_probs(
     members: list[EncoderStack | None],
-    support_x: np.ndarray,
+    x: np.ndarray,
+    support: np.ndarray,
     support_y: np.ndarray,
-    query_x: np.ndarray,
+    query: np.ndarray,
     head: str,
-    cfg: ProbeConfig,
+    cfgs: list[ProbeConfig],
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sorted class ids and each member's (n_query, n_way) probabilities.
+    """Class ids and each member's probabilities on P episodes that share rows.
 
-    Every member is embedded once. The linear probes of members with equal
-    embedding width train together as one stack.
+    ``x`` holds encoded rows. Episode p's support is ``x[support[p]]`` with
+    labels ``support_y[p]``, its query is ``x[query[p]]``, and ``cfgs[p]`` sets
+    its probes. Returns (P, n_way) sorted class ids and one (P, n_query,
+    n_way) array per member. Each member embeds ``x`` once, and the linear
+    probes of every episode and of every member of one embedding width train
+    as one stack.
     """
+    if not members:
+        raise HeadError("ensemble needs at least one member")
+    episodes = list(zip(support, support_y, query, cfgs))
     if head == "finetune":
         if any(member is None for member in members):
             raise HeadError(f"head {head!r} needs a trained stack")
-        results = [finetune_probs(m, support_x, support_y, query_x, cfg) for m in members]
-        return results[0][0], [probs for _, probs in results]
-    vectors = [
-        (support_x, query_x)
-        if member is None
-        else (embed(member, support_x), embed(member, query_x))
-        for member in members
-    ]
+        return _stack_episodes(
+            [[finetune_probs(m, x[s], y, x[q], cfg) for s, y, q, cfg in episodes] for m in members]
+        )
+    vectors = [x if member is None else embed(member, x) for member in members]
     if head != "linear":
-        results = [_frozen_probs(head, sup, support_y, qry) for sup, qry in vectors]
-        return results[0][0], [probs for _, probs in results]
+        return _stack_episodes(
+            [[_frozen_probs(head, v[s], y, v[q]) for s, y, q, _ in episodes] for v in vectors]
+        )
+
+    def probe_stack(rows: np.ndarray, group: list[int]) -> np.ndarray:
+        # Probe p * len(group) + g is episode p's probe for member group[g].
+        gathered = np.stack([vectors[i][rows] for i in group], axis=1)
+        return gathered.reshape(-1, rows.shape[1], gathered.shape[-1])
+
     probs: dict[int, np.ndarray] = {}
-    widths = [sup.shape[1] for sup, _ in vectors]
+    widths = [v.shape[1] for v in vectors]
     for width in dict.fromkeys(widths):
         group = [i for i, w in enumerate(widths) if w == width]
         classes, stacked = linear_probe_probs(
-            np.stack([vectors[i][0] for i in group]),
-            support_y,
-            np.stack([vectors[i][1] for i in group]),
-            cfg,
+            probe_stack(support, group),
+            np.repeat(support_y, len(group), axis=0),
+            probe_stack(query, group),
+            [cfg for cfg in cfgs for _ in group],
         )
-        probs.update(zip(group, stacked))
-    return classes, [probs[i] for i in range(len(members))]
+        stacked = stacked.reshape(len(episodes), len(group), *stacked.shape[1:])
+        probs.update((i, stacked[:, g]) for g, i in enumerate(group))
+    # Every member of an episode sees its labels, so any member's class ids serve.
+    return classes[:: len(group)], [probs[i] for i in range(len(members))]
+
+
+def _predict(
+    members: list[EncoderStack | None],
+    x: np.ndarray,
+    support: np.ndarray,
+    support_y: np.ndarray,
+    query: np.ndarray,
+    head: str,
+    cfgs: list[ProbeConfig],
+) -> np.ndarray:
+    """The (P, n_query) ensemble labels of P episodes; see :func:`_member_probs`.
+
+    Members' probabilities are averaged uniformly; the argmax breaks ties to
+    the lowest class id.
+    """
+    classes, probs = _member_probs(members, x, support, support_y, query, head, cfgs)
+    total = probs[0]
+    for member_probs in probs[1:]:
+        total = total + member_probs
+    return np.take_along_axis(classes, np.argmax(total / len(members), axis=2), axis=1)
 
 
 def ensemble_predict(
@@ -425,17 +512,22 @@ def ensemble_predict(
     """Average per-member class probabilities uniformly and take the argmax.
 
     A ``None`` member is the identity encoder: its heads run on the inputs
-    themselves, and it cannot be fine-tuned.
+    themselves, and it cannot be fine-tuned. Support and query rows are
+    encoded, and each member embeds them in one batch, as in :func:`evaluate`.
     """
-    if not members:
-        raise HeadError("ensemble needs at least one member")
-    classes, probs = _member_probs(
-        members, support_x, support_y, query_x, head, cfg or ProbeConfig()
+    _check_support(support_x, support_y)
+    n_support = len(support_x)
+    x = np.concatenate([support_x, query_x])
+    (labels,) = _predict(
+        members,
+        x,
+        np.arange(n_support)[None],
+        np.asarray(support_y)[None],
+        np.arange(n_support, len(x))[None],
+        head,
+        [cfg or ProbeConfig()],
     )
-    total = probs[0]
-    for member_probs in probs[1:]:
-        total = total + member_probs
-    return classes[np.argmax(total / len(members), axis=1)]
+    return labels
 
 
 def evaluate(
@@ -449,15 +541,22 @@ def evaluate(
     """Run the episode loop and aggregate per-episode accuracy.
 
     Episodes are keyed by (base_seed, seed index, episode index), so a report
-    is reproducible bit for bit. With ``raw_space`` the heads run directly on
-    the encoded inputs (a no-pretraining baseline) and ``members`` is ignored.
+    is reproducible bit for bit. An ``n_way`` of 0 takes every class of
+    ``ds``. For each seed index, all episodes are sampled first; the union of
+    their rows is encoded once and embedded once per member, and the linear
+    probes of all those episodes and members train as one stack. With
+    ``raw_space`` the heads run directly on the encoded inputs (a
+    no-pretraining baseline) and ``members`` is ignored.
     """
-    head = protocol.resolved_head()
-    report = EvalReport(dataset=ds.name, protocol=replace(protocol, head=head))
+    protocol = replace(
+        protocol, head=protocol.resolved_head(), n_way=protocol.n_way or ds.n_classes
+    )
+    report = EvalReport(dataset=ds.name, protocol=protocol)
     encoders = [None] if raw_space else members
     for seed_idx in range(protocol.n_seeds):
-        for ep_idx in range(protocol.n_episodes):
-            episode = sample_episode(
+        episode_ids = range(protocol.n_episodes)
+        episodes = [
+            sample_episode(
                 ds,
                 split_indices,
                 protocol.n_way,
@@ -465,11 +564,24 @@ def evaluate(
                 protocol.n_query_per_class,
                 member_seed(protocol.base_seed, seed_idx, ep_idx, 0),
             )
-            cfg = ProbeConfig(seed=member_seed(protocol.base_seed, seed_idx, ep_idx, 1))
-            x_sup = encode(pp, ds, episode.support_rows)
-            x_qry = encode(pp, ds, episode.query_rows)
-            preds = ensemble_predict(encoders, x_sup, episode.support_labels, x_qry, head, cfg)
-            accuracy = float(np.mean(preds == episode.query_labels))
+            for ep_idx in episode_ids
+        ]
+        rows = np.stack([np.concatenate([e.support_rows, e.query_rows]) for e in episodes])
+        union, positions = np.unique(rows, return_inverse=True)
+        positions = positions.reshape(rows.shape)
+        n_support = len(episodes[0].support_rows)
+        preds = _predict(
+            encoders,
+            encode(pp, ds, union),
+            positions[:, :n_support],
+            np.stack([e.support_labels for e in episodes]),
+            positions[:, n_support:],
+            protocol.head,
+            [ProbeConfig(seed=member_seed(protocol.base_seed, seed_idx, ep_idx, 1))
+             for ep_idx in episode_ids],
+        )
+        for ep_idx, (episode, labels) in enumerate(zip(episodes, preds)):
+            accuracy = float(np.mean(labels == episode.query_labels))
             report.rows.append((seed_idx, ep_idx, accuracy))
     return report
 

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from tabalign.cli import _protocol, main
+from tabalign.cli import main
 from tabalign.config import load_run_config
 from tabalign.errors import ConfigError
 from tabalign.fewshot import Protocol
 from tabalign.pretrain import DEFAULT_RATIOS, PretrainConfig
 
 DATA = "[data]\ndata = rows.csv\nschema = rows.schema.yaml\n"
-N_CLASSES = 4  # what an n_way of 0 resolves to
 
 
 def _load(tmp_path: Path, text: str):
@@ -31,8 +29,9 @@ def _with(section: str, line: str) -> str:
 
 
 def _eval_protocol(cfg) -> Protocol:
-    """The protocol the eval and ablate commands run for this config."""
-    return _protocol(cfg, SimpleNamespace(n_classes=N_CLASSES))
+    """The protocol the eval and ablate commands run for this config; ``evaluate``
+    resolves an ``n_way`` of 0 to every class of the dataset."""
+    return cfg.protocol
 
 
 def test_defaults(tmp_path):
@@ -60,7 +59,7 @@ def test_defaults(tmp_path):
         dtype="float64",
     )
     assert _eval_protocol(cfg) == Protocol(
-        n_way=N_CLASSES,
+        n_way=0,
         k_shot=5,
         n_episodes=100,
         n_seeds=1,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 
 import numpy as np
 import pytest
 
 from tabalign import fewshot
-from tabalign.data import split
+from tabalign.data import sample_episode, split
 from tabalign.errors import ConfigError, DimensionError, HeadError
 from tabalign.fewshot import (
     ProbeConfig,
@@ -24,9 +25,15 @@ from tabalign.fewshot import (
     write_report_csv,
     write_summary_csv,
 )
-from tabalign.fewshot import _cross_entropy, _fit_probe, _member_probs
+from tabalign.fewshot import (
+    _cross_entropy,
+    _fit_probe,
+    _frozen_probs,
+    _label_constants,
+    _member_probs,
+)
 from tabalign.preprocess import encode, fit
-from tabalign.pretrain import PretrainConfig, init_stack
+from tabalign.pretrain import PretrainConfig, init_stack, member_seed
 from tabalign.synthetic import make_gaussian_dataset
 
 from conftest import central_diff_grads, max_rel_error
@@ -45,6 +52,67 @@ def _predict(head_probs, *args, **kwargs):
     """Labels from a ``*_probs`` head: the argmax class, ties to the lowest."""
     classes, probs = head_probs(*args, **kwargs)
     return classes[np.argmax(probs, axis=1)]
+
+
+def _unstacked_member_probs(members, support_x, support_y, query_x, head, cfg):
+    """The head dispatch of the per-episode loop that episode stacking replaced,
+    kept as an oracle: support and query are embedded apart, once per episode."""
+    if head == "finetune":
+        if any(member is None for member in members):
+            raise HeadError(f"head {head!r} needs a trained stack")
+        results = [finetune_probs(m, support_x, support_y, query_x, cfg) for m in members]
+        return results[0][0], [probs for _, probs in results]
+    vectors = [
+        (support_x, query_x)
+        if member is None
+        else (embed(member, support_x), embed(member, query_x))
+        for member in members
+    ]
+    if head != "linear":
+        results = [_frozen_probs(head, sup, support_y, qry) for sup, qry in vectors]
+        return results[0][0], [probs for _, probs in results]
+    probs = {}
+    widths = [sup.shape[1] for sup, _ in vectors]
+    for width in dict.fromkeys(widths):
+        group = [i for i, w in enumerate(widths) if w == width]
+        classes, stacked = linear_probe_probs(
+            np.stack([vectors[i][0] for i in group]),
+            support_y,
+            np.stack([vectors[i][1] for i in group]),
+            cfg,
+        )
+        probs.update(zip(group, stacked))
+    return classes, [probs[i] for i in range(len(members))]
+
+
+def _unstacked_evaluate(members, pp, ds, split_indices, protocol, raw_space=False):
+    """The per-episode ``evaluate`` loop that episode stacking replaced; returns its rows."""
+    head = protocol.resolved_head()
+    rows = []
+    encoders = [None] if raw_space else members
+    for seed_idx in range(protocol.n_seeds):
+        for ep_idx in range(protocol.n_episodes):
+            episode = sample_episode(
+                ds,
+                split_indices,
+                protocol.n_way,
+                protocol.k_shot,
+                protocol.n_query_per_class,
+                member_seed(protocol.base_seed, seed_idx, ep_idx, 0),
+            )
+            cfg = fewshot.ProbeConfig(seed=member_seed(protocol.base_seed, seed_idx, ep_idx, 1))
+            x_sup = encode(pp, ds, episode.support_rows)
+            x_qry = encode(pp, ds, episode.query_rows)
+            classes, probs = _unstacked_member_probs(
+                encoders, x_sup, episode.support_labels, x_qry, head, cfg
+            )
+            total = probs[0]
+            for member_probs in probs[1:]:
+                total = total + member_probs
+            preds = classes[np.argmax(total / len(encoders), axis=1)]
+            accuracy = float(np.mean(preds == episode.query_labels))
+            rows.append((seed_idx, ep_idx, accuracy))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -164,12 +232,12 @@ class TestLinearProbe:
         np.testing.assert_array_equal(preds_q, preds_s)
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
-        """Stacked probes: the summed loss's gradient splits per probe, and each
-        slice is the single-probe gradient."""
+        """Stacked probes, each with its own labels: the summed loss's gradient
+        splits per probe, and each slice is the single-probe gradient."""
         rng = np.random.default_rng(9)
         h = rng.normal(size=(12, 5))
-        y = rng.integers(3, size=12)
         for n_probes in (1, 2):
+            y = rng.integers(3, size=(n_probes, 12))
             w = rng.normal(size=(n_probes, 3, 5))
             b = rng.normal(size=(n_probes, 3))
 
@@ -177,26 +245,46 @@ class TestLinearProbe:
                 return np.matmul(h, w.swapaxes(1, 2)) + b[:, None]
 
             def loss():
-                return _cross_entropy(logits(), y)[0].sum()
+                return _cross_entropy(logits(), *_label_constants(y, 3))[0].sum()
 
-            losses, d_logits = _cross_entropy(logits(), y)
+            losses, d_logits = _cross_entropy(logits(), *_label_constants(y, 3))
             assert losses.shape == (n_probes,)
             analytic = [np.matmul(d_logits.swapaxes(1, 2), h), d_logits.sum(axis=1)]
             numeric = central_diff_grads(loss, [w, b])
             for a, n in zip(analytic, numeric):
                 assert max_rel_error(a, n) < 1e-5
             for m in range(n_probes):
-                solo_loss, solo_d = _cross_entropy(logits()[m : m + 1], y)
+                solo_loss, solo_d = _cross_entropy(
+                    logits()[m : m + 1], *_label_constants(y[m : m + 1], 3)
+                )
                 assert solo_loss.tobytes() == losses[m : m + 1].tobytes()
                 assert solo_d.tobytes() == d_logits[m : m + 1].tobytes()
+
+    def test_cross_entropy_matches_unhoisted_expression(self):
+        """The hoisted label index and one-hot give the bits of indexing
+        ``d[:, arange(n), y]`` and subtracting the boolean one-hot each step."""
+        rng = np.random.default_rng(10)
+        y = rng.integers(4, size=20)
+        logits = rng.normal(scale=5.0, size=(3, 20, 4))
+        d = logits.copy()
+        d -= d.max(axis=-1, keepdims=True)
+        np.exp(d, out=d)
+        d /= d.sum(axis=-1, keepdims=True)
+        expected_loss = -np.log(d[:, np.arange(20), y] + 1e-300).sum(axis=1) / 20
+        d -= y[:, None] == np.arange(4)
+        d /= 20
+        loss, grad = _cross_entropy(logits, *_label_constants(np.stack([y] * 3), 4))
+        assert loss.tobytes() == expected_loss.tobytes()
+        assert grad.tobytes() == d.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("width", [32, PretrainConfig().embed_dim])
     def test_stacked_fit_matches_solo_fits(self, dtype, width, monkeypatch):
         """Each probe in a stack ends with the bits it has when trained alone,
-        and the stack takes as many Adam steps as its slowest probe. The probes
-        stop at different steps: far-apart classes stop on ``tol``, and a
-        support of pure noise runs to the cap."""
+        and the stack takes as many Adam steps as its slowest probe. Every
+        probe has its own labels, class ids and seed. The probes stop at
+        different steps: far-apart classes stop on ``tol``, and a support of
+        pure noise runs to the cap."""
         steps = [0]
         adam_step = fewshot.adam_step
 
@@ -205,39 +293,62 @@ class TestLinearProbe:
             return adam_step(*args)
 
         monkeypatch.setattr(fewshot, "adam_step", counting)
-        cfg = ProbeConfig(max_epochs=1000, seed=3)
+        max_epochs = 1000
         rng = np.random.default_rng(width)
-        y = np.repeat(np.arange(4), 5)
-        supports, queries = [], []
-        for separation in (1000.0, 0.0, 3000.0):
+        supports, queries, labels, cfgs = [], [], [], []
+        for m, separation in enumerate((1000.0, 0.0, 3000.0, 1500.0, 0.0)):
+            y = rng.permutation(np.repeat(np.arange(4), 5))
             centers = rng.normal(size=(4, width))
             centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
             supports.append((centers[y] + rng.normal(size=(20, width))).astype(dtype))
             queries.append(rng.normal(scale=30.0, size=(9, width)).astype(dtype))
+            labels.append(np.sort(rng.choice(10, size=4, replace=False))[y])
+            cfgs.append(ProbeConfig(max_epochs=max_epochs, seed=3 + m))
 
         solo, solo_steps = [], []
-        for sup, qry in zip(supports, queries):
+        for sup, qry, y, cfg in zip(supports, queries, labels, cfgs):
             steps[0] = 0
-            w, b = _fit_probe(sup[None], y, 4, cfg)
+            classes, index = np.unique(y, return_inverse=True)
+            w, b = _fit_probe(sup[None], index[None], 4, [cfg.seed], max_epochs)
             solo_steps.append(steps[0])
-            probs = linear_probe_probs(sup, y, qry, cfg)[1]
-            solo.append((w[0], b[0], probs))
-        assert solo_steps[0] < cfg.max_epochs // 2
-        assert solo_steps[1] == cfg.max_epochs
-        assert len(set(solo_steps)) == 3
+            solo_classes, probs = linear_probe_probs(sup, y, qry, cfg)
+            np.testing.assert_array_equal(solo_classes, classes)
+            solo.append((w[0], b[0], classes, probs))
+        assert min(solo_steps) < max_epochs // 2
+        assert solo_steps.count(max_epochs) == 2
+        assert len(set(solo_steps)) == 4
 
-        for n_probes in (1, 2, 3):
+        for n_probes in (1, 2, 3, 5):
             steps[0] = 0
-            w, b = _fit_probe(np.stack(supports[:n_probes]), y, 4, cfg)
-            assert steps[0] == max(solo_steps[:n_probes])
-            _, probs = linear_probe_probs(
-                np.stack(supports[:n_probes]), y, np.stack(queries[:n_probes]), cfg
+            classes, probs = linear_probe_probs(
+                np.stack(supports[:n_probes]),
+                np.stack(labels[:n_probes]),
+                np.stack(queries[:n_probes]),
+                cfgs[:n_probes],
             )
+            assert steps[0] == max(solo_steps[:n_probes])
             assert probs.shape == (n_probes, 9, 4)
-            for m, (solo_w, solo_b, solo_probs) in enumerate(solo[:n_probes]):
+            assert classes.shape == (n_probes, 4)
+            for m, (solo_w, solo_b, solo_classes, solo_probs) in enumerate(solo[:n_probes]):
+                np.testing.assert_array_equal(classes[m], solo_classes)
+                assert probs[m].tobytes() == solo_probs.tobytes()
+            index = np.stack([np.unique(y, return_inverse=True)[1] for y in labels[:n_probes]])
+            seeds = [c.seed for c in cfgs[:n_probes]]
+            w, b = _fit_probe(np.stack(supports[:n_probes]), index, 4, seeds, max_epochs)
+            for m, (solo_w, solo_b, _, _) in enumerate(solo[:n_probes]):
                 assert w[m].tobytes() == solo_w.tobytes()
                 assert b[m].tobytes() == solo_b.tobytes()
-                assert probs[m].tobytes() == solo_probs.tobytes()
+
+    def test_stacked_configs_must_agree(self):
+        rng = np.random.default_rng(1)
+        sup, qry = rng.normal(size=(2, 6, 3)), rng.normal(size=(2, 4, 3))
+        y = np.arange(6) % 2
+        with pytest.raises(HeadError, match="2 probes"):
+            linear_probe_probs(sup, y, qry, [ProbeConfig(max_epochs=5)])
+        with pytest.raises(HeadError, match="2 probes"):
+            linear_probe_probs(sup, y, qry, [ProbeConfig(max_epochs=5), ProbeConfig(max_epochs=6)])
+        with pytest.raises(HeadError, match="same number of classes"):
+            linear_probe_probs(sup, np.stack([y, np.arange(6) % 3]), qry, FAST_PROBE)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
@@ -413,9 +524,17 @@ class TestEnsemble:
         x_sup = encode(pp, ds, idx.test[:12])
         y_sup = np.asarray(np.arange(12) % 4)
         x_qry = encode(pp, ds, idx.test[12:40])
-        _, fused = _member_probs(members, x_sup, y_sup, x_qry, "linear", FAST_PROBE)
+        _, fused = _member_probs(
+            members,
+            np.concatenate([x_sup, x_qry]),
+            np.arange(12)[None],
+            y_sup[None],
+            np.arange(12, 40)[None],
+            "linear",
+            [FAST_PROBE],
+        )
         total = 0.0
-        for member, member_probs in zip(members, fused):
+        for member, (member_probs,) in zip(members, fused):
             sup = x_sup if member is None else embed(member, x_sup)
             qry = x_qry if member is None else embed(member, x_qry)
             classes, probs = linear_probe_probs(sup, y_sup, qry, FAST_PROBE)
@@ -531,3 +650,87 @@ class TestEvaluate:
             srows = list(csv.reader(handle))
         assert len(srows) == 2
         assert float(srows[1][6]) == pytest.approx(report.mean_accuracy, abs=1e-6)
+
+
+class TestEpisodeStacking:
+    """``evaluate`` encodes and embeds each seed's rows once and stacks the
+    probes; the per-episode loop above is the oracle."""
+
+    @pytest.fixture
+    def short_probes(self, monkeypatch):
+        # A 600-step cap keeps the per-episode oracle's probes affordable.
+        monkeypatch.setattr(fewshot, "ProbeConfig", functools.partial(ProbeConfig, max_epochs=600))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "head,raw_space",
+        # finetune needs a trained stack, so it has no raw-space case.
+        [(h, raw) for h in fewshot.HEADS for raw in (False, True) if h != "finetune" or not raw],
+    )
+    def test_rows_match_per_episode_loop(self, eval_setup, short_probes, head, raw_space, dtype):
+        ds, idx, pp, _ = eval_setup
+        tiny = PretrainConfig(hidden_dim=16, embed_dim=8, projector_dim=8, dtype=dtype)
+        wide = PretrainConfig(hidden_dim=16, embed_dim=12, projector_dim=8, dtype=dtype)
+        # Two embedding widths, one of them shared by two members.
+        members = [
+            init_stack(pp.encoded_dim, 0.2, seed=0, cfg=tiny),
+            init_stack(pp.encoded_dim, 0.3, seed=1, cfg=wide),
+            init_stack(pp.encoded_dim, 0.4, seed=2, cfg=tiny),
+        ]
+        protocol = Protocol(
+            n_way=3, k_shot=2, n_episodes=3, n_seeds=2, n_query_per_class=4,
+            head=head, base_seed=5,
+        )
+        report = evaluate(members, pp, ds, idx, protocol, raw_space=raw_space)
+        expected = _unstacked_evaluate(members, pp, ds, idx, protocol, raw_space=raw_space)
+        assert len(report.rows) == 6
+        assert report.rows == expected
+
+    def test_tiny_support_changes_bits_not_accuracy(self, eval_setup, short_probes):
+        """2-way 1-shot: a support of 2 rows. BLAS rounds a batch of 1-3 rows
+        differently from the same rows inside a larger batch, so embedding
+        them with their query and the other episodes' rows may change bits.
+        Accuracy stays within one standard error of the per-episode loop."""
+        ds, idx, pp, stack = eval_setup
+        members = [stack, init_stack(pp.encoded_dim, 0.4, seed=3, cfg=TINY_CFG)]
+        for head in ("proto-cos", "linear"):
+            protocol = Protocol(
+                n_way=2, k_shot=1, n_episodes=30, n_query_per_class=5, head=head, base_seed=2
+            )
+            report = evaluate(members, pp, ds, idx, protocol)
+            rows = _unstacked_evaluate(members, pp, ds, idx, protocol)
+            expected = np.array([acc for *_, acc in rows])
+            sem = expected.std() / np.sqrt(len(expected))
+            assert abs(report.mean_accuracy - expected.mean()) <= sem
+
+    def test_one_episode_encodes_only_its_rows(self, eval_setup, monkeypatch):
+        ds, idx, pp, stack = eval_setup
+        encoded, embedded = [], []
+
+        def counted_encode(pp, ds, rows):
+            encoded.append(len(rows))
+            return encode(pp, ds, rows)
+
+        def counted_embed(member, x):
+            embedded.append(len(x))
+            return embed(member, x)
+
+        monkeypatch.setattr(fewshot, "encode", counted_encode)
+        monkeypatch.setattr(fewshot, "embed", counted_embed)
+        protocol = Protocol(n_way=4, k_shot=5, n_episodes=1, n_query_per_class=15, head="linear")
+        evaluate([stack, stack], pp, ds, idx, protocol)
+        assert encoded == [80]
+        assert embedded == [80, 80]
+
+    def test_zero_way_takes_every_class(self, eval_setup):
+        """``Protocol`` documents n_way 0 as every class; the report records the count."""
+        ds, idx, pp, stack = eval_setup
+        every = evaluate(
+            [stack], pp, ds, idx, Protocol(n_way=0, k_shot=1, n_episodes=2, n_query_per_class=5)
+        )
+        four = evaluate(
+            [stack], pp, ds, idx, Protocol(n_way=4, k_shot=1, n_episodes=2, n_query_per_class=5)
+        )
+        assert every.protocol == four.protocol
+        assert every.protocol.n_way == ds.n_classes == 4
+        assert every.rows == four.rows

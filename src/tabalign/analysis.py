@@ -3,9 +3,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -103,28 +101,3 @@ def latent_consistency(
         overall_input_mean=float(input_counts.mean()),
         overall_latent_mean=float(latent_counts.mean()),
     )
-
-
-def write_curve_csv(curve: np.ndarray, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "mean_fraction"])
-        for k, value in enumerate(curve, start=1):
-            writer.writerow([k, f"{value:.6f}"])
-
-
-def write_consistency_csv(table: ConsistencyTable, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["input_bucket", "mean_input_count", "mean_latent_count", "bucket_size"]
-        )
-        for b in range(table.k + 1):
-            writer.writerow(
-                [
-                    b,
-                    f"{table.mean_input_count[b]:.6f}",
-                    f"{table.mean_latent_count[b]:.6f}",
-                    int(table.bucket_sizes[b]),
-                ]
-            )

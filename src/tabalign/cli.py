@@ -3,7 +3,8 @@
 Subcommands: gen-data, pretrain, eval, ablate, theory, analyze. Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error. All randomness
 flows from the configured seeds, so reruns with identical inputs reproduce
-identical outputs.
+identical outputs. The compute modules return data; every report table is
+written here, by ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from .errors import (
     SchemaError,
     TabAlignError,
 )
-from .fewshot import (
-    HEADS,
-    EvalReport,
-    evaluate,
-    write_report_csv,
-    write_summary_csv,
-)
+from .fewshot import HEADS, EvalReport, evaluate
 from .preprocess import Preprocessor, encode, fit
 from .pretrain import (
     DEFAULT_RATIOS,
@@ -45,7 +40,21 @@ from .pretrain import (
 )
 from .synthetic import make_gaussian_dataset, write_dataset_files
 
-_USAGE_ERRORS = (ConfigError, SchemaError, FormatError, ParseError, FileNotFoundError)
+_USAGE_ERRORS = (ConfigError, SchemaError, FormatError, ParseError,
+                 FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write one report table: UTF-8, the default ``csv`` dialect, header first."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _accuracy_cells(report: EvalReport) -> list[str]:
+    """The mean/std cells of a one-row-per-report table."""
+    return [f"{report.mean_accuracy:.6f}", f"{report.std_accuracy:.6f}"]
 
 
 def _ratio_tag(ratio: float | str) -> str:
@@ -79,30 +88,27 @@ def _train_ensemble(
             f"(epoch {report.best_epoch})"
         )
 
-    with (out_dir / "pretrain_history.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["member", "ratio", "epoch", "train_loss", "valid_loss"])
-        for k, (stack, report) in enumerate(zip(stacks, reports)):
+    members = list(enumerate(zip(stacks, reports)))
+    _write_csv(
+        out_dir / "pretrain_history.csv",
+        ["member", "ratio", "epoch", "train_loss", "valid_loss"],
+        [
+            [k, stack.ratio, epoch, f"{tl:.6f}", f"{vl:.6f}"]
+            for k, (stack, report) in members
             for epoch, (tl, vl) in enumerate(
                 zip(report.train_losses, report.valid_losses), start=1
-            ):
-                writer.writerow([k, stack.ratio, epoch, f"{tl:.6f}", f"{vl:.6f}"])
-    with (out_dir / "pretrain_summary.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["member", "ratio", "stopped_epoch", "best_epoch", "best_valid_loss", "wall_seconds"]
-        )
-        for k, (stack, report) in enumerate(zip(stacks, reports)):
-            writer.writerow(
-                [
-                    k,
-                    stack.ratio,
-                    report.stopped_epoch,
-                    report.best_epoch,
-                    f"{report.best_validation_loss:.6f}",
-                    f"{report.wall_seconds:.2f}",
-                ]
             )
+        ],
+    )
+    _write_csv(
+        out_dir / "pretrain_summary.csv",
+        ["member", "ratio", "stopped_epoch", "best_epoch", "best_valid_loss", "wall_seconds"],
+        [
+            [k, stack.ratio, report.stopped_epoch, report.best_epoch,
+             f"{report.best_validation_loss:.6f}", f"{report.wall_seconds:.2f}"]
+            for k, (stack, report) in members
+        ],
+    )
     return stacks, reports, pp, ds, indices
 
 
@@ -145,9 +151,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(members, pp, ds, indices, dataclasses.replace(cfg.protocol, **changes))
 
     out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
-    write_report_csv(report, out)
-    write_summary_csv([report], out.with_name(out.stem + "_summary.csv"))
     protocol = report.protocol
+    meta = [report.dataset, protocol.n_way, protocol.k_shot, protocol.head]
+    _write_csv(
+        out,
+        ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"],
+        [[*meta, seed, ep, f"{acc:.6f}"] for seed, ep, acc in report.rows],
+    )
+    _write_csv(
+        out.with_name(out.stem + "_summary.csv"),
+        ["dataset", "n_way", "k_shot", "head", "n_seeds", "n_episodes",
+         "mean_accuracy", "std_accuracy"],
+        [[*meta, protocol.n_seeds, protocol.n_episodes, *_accuracy_cells(report)]],
+    )
     print(
         f"[eval] {protocol.head} {protocol.n_way}-way {protocol.k_shot}-shot: "
         f"accuracy {report.mean_accuracy:.4f} +/- {report.std_accuracy:.4f} "
@@ -207,23 +223,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown ablation axis {args.axis!r}")
 
     table = out_dir / f"ablation_{args.axis}.csv"
-    with table.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["axis", "variant", "n_way", "k_shot", "head", "mean_accuracy", "std_accuracy"]
-        )
-        for variant, report in rows:
-            writer.writerow(
-                [
-                    args.axis,
-                    variant,
-                    report.protocol.n_way,
-                    report.protocol.k_shot,
-                    report.protocol.head,
-                    f"{report.mean_accuracy:.6f}",
-                    f"{report.std_accuracy:.6f}",
-                ]
-            )
+    _write_csv(
+        table,
+        ["axis", "variant", "n_way", "k_shot", "head", "mean_accuracy", "std_accuracy"],
+        [
+            [args.axis, variant, report.protocol.n_way, report.protocol.k_shot,
+             report.protocol.head, *_accuracy_cells(report)]
+            for variant, report in rows
+        ],
+    )
     for variant, report in rows:
         print(f"[ablate:{args.axis}] {variant}: {report.mean_accuracy:.4f}")
     print(f"[ablate] wrote {table}")
@@ -255,8 +263,22 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 f"{est.estimate:.4f} +/- {est.stderr:.4f}"
             )
     report = theory_mod.check_bound(estimates)
-    theory_mod.write_estimates_csv(estimates, out_dir / "theory_cells.csv")
-    theory_mod.write_bound_csv(report, out_dir / "theory_bound.csv")
+    _write_csv(
+        out_dir / "theory_cells.csv",
+        ["D", "n", "delta_sq", "n_subsets", "trials", "estimate", "stderr"],
+        [
+            [e.dim, e.subset_size, f"{e.delta_sq:.6g}", e.n_subsets, e.trials_per_subset,
+             f"{e.estimate:.8f}", f"{e.stderr:.8f}"]
+            for e in estimates
+        ],
+    )
+    # An unbound c_star is infinite and formats as "inf".
+    _write_csv(
+        out_dir / "theory_bound.csv",
+        ["c_star", "passed", "slope", "floor"],
+        [[f"{report.c_star:.8f}", int(report.passed), f"{report.slope:.8f}",
+          f"{report.floor:.3e}"]],
+    )
     print(
         f"[theory] fitted C* = {report.c_star:.4f} (passed={report.passed}), "
         f"log-slope {report.slope:.4f}"
@@ -265,11 +287,17 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0.0 < args.ratio < 1.0:
+        raise ConfigError(f"--ratio must be in (0, 1), got {args.ratio}")
+    if args.separations < 1:
+        raise ConfigError(f"--separations must be >= 1, got {args.separations}")
     cfg = load_run_config(args.config)
     members, pp = _load_ensemble(Path(args.checkpoint_dir))
     ds = load_csv(cfg.data_path, cfg.schema_path)
     if ds.labels is None:
         raise ConfigError("analysis needs a labeled dataset")
+    if not 1 <= args.k_max < ds.n_rows:
+        raise ConfigError(f"--k-max must be in [1, {ds.n_rows - 1}], got {args.k_max}")
 
     # Prefer the member whose training ratio is closest to the requested one.
     def ratio_gap(stack: EncoderStack) -> float:
@@ -284,9 +312,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     curve = analysis_mod.neighbor_fraction_curve(
         x, ds.labels, pp, args.ratio, args.separations, args.k_max, rng
     )
-    analysis_mod.write_curve_csv(curve, out_dir / "neighbor_fraction.csv")
+    _write_csv(
+        out_dir / "neighbor_fraction.csv",
+        ["k", "mean_fraction"],
+        [[k, f"{value:.6f}"] for k, value in enumerate(curve, start=1)],
+    )
     table = analysis_mod.latent_consistency(x, ds.labels, stack, k=10)
-    analysis_mod.write_consistency_csv(table, out_dir / "latent_consistency.csv")
+    _write_csv(
+        out_dir / "latent_consistency.csv",
+        ["input_bucket", "mean_input_count", "mean_latent_count", "bucket_size"],
+        [
+            [b, f"{table.mean_input_count[b]:.6f}", f"{table.mean_latent_count[b]:.6f}",
+             int(table.bucket_sizes[b])]
+            for b in range(table.k + 1)
+        ],
+    )
     print(
         f"[analyze] same-class fraction at k=1: {curve[0]:.4f}; "
         f"mean same-class 10-NN count input {table.overall_input_mean:.2f} "
@@ -394,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TabAlignError as exc:
+    except (TabAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,10 +8,8 @@ weights and take the argmax.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -584,56 +582,3 @@ def evaluate(
             accuracy = float(np.mean(labels == episode.query_labels))
             report.rows.append((seed_idx, ep_idx, accuracy))
     return report
-
-
-def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    """Per-episode CSV: dataset, n_way, k_shot, head, seed, episode, accuracy."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"]
-        )
-        protocol = report.protocol
-        for seed_idx, ep_idx, acc in report.rows:
-            writer.writerow(
-                [
-                    report.dataset,
-                    protocol.n_way,
-                    protocol.k_shot,
-                    protocol.head,
-                    seed_idx,
-                    ep_idx,
-                    f"{acc:.6f}",
-                ]
-            )
-
-
-def write_summary_csv(reports: list[EvalReport], path: str | Path) -> None:
-    """One mean/std row per report."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "dataset",
-                "n_way",
-                "k_shot",
-                "head",
-                "n_seeds",
-                "n_episodes",
-                "mean_accuracy",
-                "std_accuracy",
-            ]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.protocol.n_way,
-                    r.protocol.k_shot,
-                    r.protocol.head,
-                    r.protocol.n_seeds,
-                    r.protocol.n_episodes,
-                    f"{r.mean_accuracy:.6f}",
-                    f"{r.std_accuracy:.6f}",
-                ]
-            )

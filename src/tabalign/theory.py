@@ -10,10 +10,8 @@ estimates is fitted instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -183,38 +181,3 @@ def ramp_offset(dim: int, delta_sq: float) -> np.ndarray:
         raise ConfigError("delta_sq must be non-negative")
     ramp = np.arange(1, dim + 1, dtype=np.float64)
     return ramp * math.sqrt(delta_sq / np.square(ramp).sum())
-
-
-def write_estimates_csv(estimates: list[MismatchEstimate], path: str | Path) -> None:
-    """Cell-level CSV: D, n, delta_sq, n_subsets, trials, estimate, stderr."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["D", "n", "delta_sq", "n_subsets", "trials", "estimate", "stderr"]
-        )
-        for e in estimates:
-            writer.writerow(
-                [
-                    e.dim,
-                    e.subset_size,
-                    f"{e.delta_sq:.6g}",
-                    e.n_subsets,
-                    e.trials_per_subset,
-                    f"{e.estimate:.8f}",
-                    f"{e.stderr:.8f}",
-                ]
-            )
-
-
-def write_bound_csv(report: BoundReport, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["c_star", "passed", "slope", "floor"])
-        writer.writerow(
-            [
-                "inf" if math.isinf(report.c_star) else f"{report.c_star:.8f}",
-                int(report.passed),
-                f"{report.slope:.8f}",
-                f"{report.floor:.3e}",
-            ]
-        )

@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import importlib
 
 import numpy as np
 import pytest
 
-from tabalign.analysis import (
-    latent_consistency,
-    neighbor_fraction_curve,
-    write_consistency_csv,
-    write_curve_csv,
-)
+from tabalign.analysis import latent_consistency, neighbor_fraction_curve
 from tabalign.data import NUMERICAL, ColumnSchema, Dataset
 from tabalign.errors import AnalysisError
 from tabalign.nncore import DenseLayer
@@ -171,27 +165,3 @@ class TestTopK:
             d = np.square(pts - pts[i]).sum(axis=1)
             d[i] = np.inf
             np.testing.assert_array_equal(nbrs[i], np.argsort(d, kind="stable")[:6])
-
-
-class TestCsvWriters:
-    def test_curve_csv(self, tmp_path):
-        write_curve_csv(np.array([0.9, 0.8, 0.7]), tmp_path / "c.csv")
-        with (tmp_path / "c.csv").open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["k", "mean_fraction"]
-        assert rows[1] == ["1", "0.900000"]
-        assert len(rows) == 4
-
-    def test_consistency_csv(self, tmp_path):
-        rng = np.random.default_rng(11)
-        rows = rng.normal(size=(40, 4))
-        ds = _numeric_dataset(rows, np.arange(40) % 2)
-        pp = fit(ds, np.arange(40))
-        x = encode(pp, ds, np.arange(40))
-        table = latent_consistency(x, ds.labels, _identity_stack(4), k=10)
-        write_consistency_csv(table, tmp_path / "t.csv")
-        with (tmp_path / "t.csv").open() as handle:
-            out = list(csv.reader(handle))
-        assert out[0] == ["input_bucket", "mean_input_count", "mean_latent_count", "bucket_size"]
-        assert len(out) == 12
-        assert sum(int(r[3]) for r in out[1:]) == 40

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import errno
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tabalign import analysis, cli
 from tabalign.checkpoint import load_checkpoint, save_checkpoint
 from tabalign.cli import main
 from tabalign.data import load_csv
@@ -87,6 +90,10 @@ def _read_csv(path: Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
+def _is_fixed(cell: str, places: int) -> bool:
+    return re.fullmatch(rf"-?\d+\.\d{{{places}}}", cell) is not None
+
+
 class TestGenData:
     def test_files_are_loadable(self, workdir):
         ds = load_csv(workdir / "synth.csv", workdir / "synth.schema.yaml")
@@ -116,6 +123,28 @@ class TestPretrainCommand:
         ]
         assert (workdir / "run" / "pretrain_history.csv").exists()
         assert (workdir / "run" / "pretrain_summary.csv").exists()
+
+    def test_history_and_summary_csvs(self, workdir):
+        out = workdir / "pre-csv"
+        rc = main(["pretrain", "--config", str(workdir / "small.ini"), "--out-dir", str(out)])
+        assert rc == 0
+        history = _read_csv(out / "pretrain_history.csv")
+        summary = _read_csv(out / "pretrain_summary.csv")
+        assert history[0] == ["member", "ratio", "epoch", "train_loss", "valid_loss"]
+        assert summary[0] == [
+            "member", "ratio", "stopped_epoch", "best_epoch", "best_valid_loss", "wall_seconds"
+        ]
+        # One summary row per member; one history row per member per trained epoch.
+        assert [row[:2] for row in summary[1:]] == [["0", "0.2"], ["1", "0.4"]]
+        assert len(history) - 1 == sum(int(row[2]) for row in summary[1:])
+        for member, ratio, stopped, best, best_loss, _ in summary[1:]:
+            assert 1 <= int(best) <= int(stopped)
+            mine = [row for row in history[1:] if row[0] == member]
+            assert [row[1] for row in mine] == [ratio] * int(stopped)
+            assert [row[2] for row in mine] == [str(e) for e in range(1, int(stopped) + 1)]
+            assert mine[int(best) - 1][4] == best_loss
+        assert all(_is_fixed(cell, 6) for row in history[1:] for cell in row[3:])
+        assert all(_is_fixed(row[4], 6) and _is_fixed(row[5], 2) for row in summary[1:])
 
     def test_default_ratio_set_gives_five_checkpoints(self, workdir):
         rc = main(["pretrain", "--config", str(workdir / "default_ratios.ini")])
@@ -173,6 +202,51 @@ class TestEvalCommand:
         assert len(rows) == 2
         assert rows[0] == ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"]
         assert rows[1][3] == "proto-cos"
+
+    def test_report_and_summary_csvs(self, workdir):
+        out = workdir / "eval-2x2.csv"
+        rc = main(
+            [
+                "eval", str(workdir / "run"),
+                "--config", str(workdir / "small.ini"),
+                "--n-way", "3", "--k-shot", "1", "--episodes", "2", "--seeds", "2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        rows = _read_csv(out)
+        assert rows[0] == ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"]
+        assert len(rows) == 1 + 4
+        assert [row[:6] for row in rows[1:]] == [
+            ["synth", "3", "1", "proto-cos", seed, episode]
+            for seed in ("0", "1") for episode in ("0", "1")
+        ]
+        assert all(_is_fixed(row[6], 6) for row in rows[1:])
+        srows = _read_csv(workdir / "eval-2x2_summary.csv")
+        assert srows[0] == [
+            "dataset", "n_way", "k_shot", "head", "n_seeds", "n_episodes",
+            "mean_accuracy", "std_accuracy",
+        ]
+        assert len(srows) == 2
+        assert srows[1][:6] == ["synth", "3", "1", "proto-cos", "2", "2"]
+        assert _is_fixed(srows[1][6], 6) and _is_fixed(srows[1][7], 6)
+        accuracies = [float(row[6]) for row in rows[1:]]
+        assert float(srows[1][6]) == pytest.approx(np.mean(accuracies), abs=1e-6)
+
+    def test_out_directory_is_usage_error(self, workdir, capsys):
+        out = workdir / "out-is-a-dir"
+        out.mkdir()
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval", str(workdir / "run"),
+                "--config", str(workdir / "small.ini"),
+                "--episodes", "1", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_head_override_in_metadata(self, workdir):
         out = workdir / "eval_knn.csv"
@@ -344,6 +418,22 @@ class TestTheoryCommand:
         bound = _read_csv(out / "theory_bound.csv")
         assert bound[1][1] == "1"
 
+    def test_failed_write_is_runtime_error(self, workdir, monkeypatch, capsys):
+        def disk_full(path, header, rows):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "_write_csv", disk_full)
+        capsys.readouterr()
+        rc = main(
+            [
+                "theory", "--dim", "4", "--delta-sq-grid", "1", "--n-grid", "2",
+                "--trials", "10", "--subsets", "1", "--out-dir", str(workdir / "th-full"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No space left" in err and err.count("\n") == 1
+
     def test_zero_trials_is_usage_error(self, workdir):
         rc = main(["theory", "--trials", "0", "--out-dir", str(workdir / "x")])
         assert rc == 2
@@ -367,3 +457,47 @@ class TestAnalyzeCommand:
         table = _read_csv(out / "latent_consistency.csv")
         assert table[0] == ["input_bucket", "mean_input_count", "mean_latent_count", "bucket_size"]
         assert len(table) == 12
+        assert sum(int(row[3]) for row in table[1:]) == 240
+        assert [row[0] for row in table[1:]] == [str(b) for b in range(11)]
+        for row in table[1:]:
+            assert _is_fixed(row[1], 6)
+            assert _is_fixed(row[2], 6) if int(row[3]) else row[2] == "nan"
+
+    def test_curve_csv_formats_each_k(self, workdir, monkeypatch):
+        monkeypatch.setattr(
+            analysis, "neighbor_fraction_curve", lambda *args: np.array([0.9, 0.8, 0.7])
+        )
+        out = workdir / "an-fixed"
+        rc = main(
+            [
+                "analyze", str(workdir / "run"),
+                "--config", str(workdir / "small.ini"),
+                "--k-max", "3", "--out-dir", str(out),
+            ]
+        )
+        assert rc == 0
+        rows = _read_csv(out / "neighbor_fraction.csv")
+        assert rows[0] == ["k", "mean_fraction"]
+        assert rows[1] == ["1", "0.900000"]
+        assert len(rows) == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ratio", "1.5"],
+            ["--ratio", "0"],
+            ["--separations", "0"],
+            ["--k-max", "0"],
+            ["--k-max", "240"],
+        ],
+    )
+    def test_bad_flag_is_usage_error(self, workdir, flags):
+        rc = main(
+            [
+                "analyze", str(workdir / "run"),
+                "--config", str(workdir / "small.ini"),
+                "--separations", "2", *flags,
+                "--out-dir", str(workdir / "an-bad"),
+            ]
+        )
+        assert rc == 2

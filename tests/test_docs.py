@@ -1,7 +1,9 @@
-"""The README's config reference, checkpoint header and head table against the code."""
+"""The README's config reference, output files, checkpoint header and head table
+against the code."""
 
 from __future__ import annotations
 
+import csv
 import inspect
 import json
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from tabalign.checkpoint import save_checkpoint
+from tabalign.cli import main
 from tabalign.config import _KEYS
 from tabalign.fewshot import (
     ensemble_predict,
@@ -56,3 +59,45 @@ def test_checkpoint_section_names_every_header_key(tmp_path):
 def test_head_table_names_each_head_with_its_parameters(head):
     table = dict(re.findall(r"^\| `(\w+)\(([^)]*)\)` \|", _section("Python API"), flags=re.M))
     assert table.get(head.__name__) == ", ".join(inspect.signature(head).parameters)
+
+
+def test_output_files_table_lists_the_headers_the_commands_write(tmp_path):
+    rows = re.findall(r"^\| `([\w-]+)` \| `([\w<>.]+)` \| (.+) \|$", _section("Output files"),
+                      flags=re.M)
+    documented = {
+        name.replace("<axis>", "conditioning"): re.findall(r"`(\w+)`", columns)
+        for _, name, columns in rows
+    }
+    assert len(documented) == len(rows)
+
+    data = tmp_path / "data"
+    assert main(["gen-data", "--rows", "120", "--dims", "3", "--classes", "2",
+                 "--out", str(data / "synth")]) == 0
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(
+        f"[data]\ndata = {data / 'synth.csv'}\nschema = {data / 'synth.schema.yaml'}\n"
+        f"[pretrain]\nout_dir = {tmp_path / 'run'}\nratios = 0.4\nmax_epochs = 1\n"
+        "batch_size = 32\nhidden_dim = 4\nembed_dim = 2\nprojector_dim = 2\n"
+        "[eval]\nk_shot = 1\nepisodes = 1\nn_query = 2\n"
+    )
+    run = str(tmp_path / "run")
+    for argv in (
+        ["pretrain", "--config", str(ini)],
+        ["eval", run, "--config", str(ini)],
+        ["ablate", "--config", str(ini), "--axis", "conditioning",
+         "--out-dir", str(tmp_path / "ablate")],
+        ["theory", "--dim", "4", "--delta-sq-grid", "0,4", "--n-grid", "1,2",
+         "--trials", "20", "--subsets", "2", "--out-dir", str(tmp_path / "theory")],
+        ["analyze", run, "--config", str(ini), "--separations", "1", "--k-max", "2",
+         "--out-dir", str(tmp_path / "analyze")],
+    ):
+        assert main(argv) == 0, argv
+
+    written = {}
+    for path in tmp_path.rglob("*.csv"):
+        if data not in path.parents:
+            with path.open(encoding="utf-8", newline="") as handle:
+                written.setdefault(path.name, []).append(next(csv.reader(handle)))
+    assert set(written) == set(documented)
+    for name, headers in written.items():
+        assert headers == [documented[name]] * len(headers), name

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import csv
 import functools
 
 import numpy as np
@@ -22,8 +21,6 @@ from tabalign.fewshot import (
     knn_probs,
     linear_probe_probs,
     prototype_probs,
-    write_report_csv,
-    write_summary_csv,
 )
 from tabalign.fewshot import (
     _cross_entropy,
@@ -635,21 +632,6 @@ class TestEvaluate:
         a = evaluate([stack], pp, ds, idx, proto)
         b = evaluate([stack], pp, ds, idx, proto)
         assert a.rows == b.rows
-
-    def test_csv_writers(self, eval_setup, tmp_path):
-        ds, idx, pp, stack = eval_setup
-        proto = Protocol(n_way=3, k_shot=1, n_episodes=2, n_seeds=2, n_query_per_class=5)
-        report = evaluate([stack], pp, ds, idx, proto)
-        write_report_csv(report, tmp_path / "r.csv")
-        write_summary_csv([report], tmp_path / "s.csv")
-        with (tmp_path / "r.csv").open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"]
-        assert len(rows) == 1 + 4
-        with (tmp_path / "s.csv").open() as handle:
-            srows = list(csv.reader(handle))
-        assert len(srows) == 2
-        assert float(srows[1][6]) == pytest.approx(report.mean_accuracy, abs=1e-6)
 
 
 class TestEpisodeStacking:

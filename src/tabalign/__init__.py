@@ -25,7 +25,6 @@ from .fewshot import (
     ProbeConfig,
     Protocol,
     embed,
-    ensemble_predict,
     evaluate,
     finetune_probs,
     knn_probs,
@@ -86,7 +85,6 @@ __all__ = [
     "check_bound",
     "embed",
     "encode",
-    "ensemble_predict",
     "evaluate",
     "expected_mismatch",
     "finetune_probs",

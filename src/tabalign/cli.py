@@ -148,9 +148,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ds.name = cfg.dataset_name or ds.name
     indices = split(ds, cfg.split_seed)
     changes = {k: v for k, v in flags.items() if v is not None}
+    out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)
     report = evaluate(members, pp, ds, indices, dataclasses.replace(cfg.protocol, **changes))
 
-    out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
     protocol = report.protocol
     meta = [report.dataset, protocol.n_way, protocol.k_shot, protocol.head]
     _write_csv(
@@ -238,16 +239,25 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(flag: str, text: str, kind: type) -> list:
+    """The comma-separated entries of a grid flag, each parsed by ``kind``."""
+    try:
+        values = [kind(entry) for entry in text.split(",") if entry.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    if not values:
+        raise ConfigError(f"empty {flag}")
+    return values
+
+
 def cmd_theory(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.subsets < 1:
         raise ConfigError(f"--subsets must be >= 1, got {args.subsets}")
     trials_per_subset = max(1, args.trials // args.subsets)
-    delta_grid = [float(t) for t in args.delta_sq_grid.split(",") if t.strip()]
-    n_grid = [int(t) for t in args.n_grid.split(",") if t.strip()]
-    if not delta_grid or not n_grid:
-        raise ConfigError("empty --delta-sq-grid or --n-grid")
+    delta_grid = _grid("--delta-sq-grid", args.delta_sq_grid, float)
+    n_grid = _grid("--n-grid", args.n_grid, int)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

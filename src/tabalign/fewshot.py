@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, Episode, SplitIndices, sample_episode
+from .data import Dataset, SplitIndices, sample_episode
 from .errors import ConfigError, DimensionError, HeadError
 from .nncore import AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
 from .preprocess import Preprocessor, encode
@@ -440,7 +440,8 @@ def _member_probs(
     its probes. Returns (P, n_way) sorted class ids and one (P, n_query,
     n_way) array per member. Each member embeds ``x`` once, and the linear
     probes of every episode and of every member of one embedding width train
-    as one stack.
+    as one stack. A ``None`` member is the identity encoder: its heads run on
+    ``x`` itself, and it cannot be fine-tuned.
     """
     if not members:
         raise HeadError("ensemble needs at least one member")
@@ -478,56 +479,6 @@ def _member_probs(
     return classes[:: len(group)], [probs[i] for i in range(len(members))]
 
 
-def _predict(
-    members: list[EncoderStack | None],
-    x: np.ndarray,
-    support: np.ndarray,
-    support_y: np.ndarray,
-    query: np.ndarray,
-    head: str,
-    cfgs: list[ProbeConfig],
-) -> np.ndarray:
-    """The (P, n_query) ensemble labels of P episodes; see :func:`_member_probs`.
-
-    Members' probabilities are averaged uniformly; the argmax breaks ties to
-    the lowest class id.
-    """
-    classes, probs = _member_probs(members, x, support, support_y, query, head, cfgs)
-    total = probs[0]
-    for member_probs in probs[1:]:
-        total = total + member_probs
-    return np.take_along_axis(classes, np.argmax(total / len(members), axis=2), axis=1)
-
-
-def ensemble_predict(
-    members: list[EncoderStack | None],
-    support_x: np.ndarray,
-    support_y: np.ndarray,
-    query_x: np.ndarray,
-    head: str = "linear",
-    cfg: ProbeConfig | None = None,
-) -> np.ndarray:
-    """Average per-member class probabilities uniformly and take the argmax.
-
-    A ``None`` member is the identity encoder: its heads run on the inputs
-    themselves, and it cannot be fine-tuned. Support and query rows are
-    encoded, and each member embeds them in one batch, as in :func:`evaluate`.
-    """
-    _check_support(support_x, support_y)
-    n_support = len(support_x)
-    x = np.concatenate([support_x, query_x])
-    (labels,) = _predict(
-        members,
-        x,
-        np.arange(n_support)[None],
-        np.asarray(support_y)[None],
-        np.arange(n_support, len(x))[None],
-        head,
-        [cfg or ProbeConfig()],
-    )
-    return labels
-
-
 def evaluate(
     members: list[EncoderStack],
     pp: Preprocessor,
@@ -542,9 +493,11 @@ def evaluate(
     is reproducible bit for bit. An ``n_way`` of 0 takes every class of
     ``ds``. For each seed index, all episodes are sampled first; the union of
     their rows is encoded once and embedded once per member, and the linear
-    probes of all those episodes and members train as one stack. With
-    ``raw_space`` the heads run directly on the encoded inputs (a
-    no-pretraining baseline) and ``members`` is ignored.
+    probes of all those episodes and members train as one stack. Each head
+    runs once per member, and the members' class probabilities are averaged
+    uniformly before the argmax. With ``raw_space`` the heads run directly on
+    the encoded rows, as one identity member (a no-pretraining baseline), and
+    ``members`` is ignored.
     """
     protocol = replace(
         protocol, head=protocol.resolved_head(), n_way=protocol.n_way or ds.n_classes
@@ -568,7 +521,7 @@ def evaluate(
         union, positions = np.unique(rows, return_inverse=True)
         positions = positions.reshape(rows.shape)
         n_support = len(episodes[0].support_rows)
-        preds = _predict(
+        classes, probs = _member_probs(
             encoders,
             encode(pp, ds, union),
             positions[:, :n_support],
@@ -578,6 +531,10 @@ def evaluate(
             [ProbeConfig(seed=member_seed(protocol.base_seed, seed_idx, ep_idx, 1))
              for ep_idx in episode_ids],
         )
+        # Members' probabilities are averaged uniformly, summed in member
+        # order; the argmax breaks ties to the lowest class id.
+        fused = sum(probs[1:], probs[0]) / len(encoders)
+        preds = np.take_along_axis(classes, np.argmax(fused, axis=2), axis=1)
         for ep_idx, (episode, labels) in enumerate(zip(episodes, preds)):
             accuracy = float(np.mean(labels == episode.query_labels))
             report.rows.append((seed_idx, ep_idx, accuracy))

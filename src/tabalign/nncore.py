@@ -14,6 +14,10 @@ import numpy as np
 from .errors import DimensionError, LossError, OptimizerError
 
 NORM_EPS = 1e-12
+# Adam's fixed hyperparameters; only the step size varies between callers.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -173,12 +177,9 @@ class AdamState:
     v: list[np.ndarray]
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 0.001) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
@@ -191,9 +192,9 @@ def adam_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
     state: AdamState,
-) -> tuple[list[np.ndarray], AdamState]:
+) -> None:
     """One bias-corrected Adam update, applied in place to ``params``,
-    ``state.m`` and ``state.v``.
+    ``state.m`` and ``state.v``, with the ``ADAM_*`` constants.
 
     Fails fast on non-finite gradients. Deterministic: identical inputs and
     state produce bitwise-identical results.
@@ -207,24 +208,23 @@ def adam_step(
             raise OptimizerError("non-finite gradient")
 
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         # The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` and
         # the moment updates, in their order, on two temporaries: ``work``
         # (the gradient's dtype) and ``step`` (the moments' dtype).
-        work = g * (1.0 - state.beta1)
-        m *= state.beta1
+        work = g * (1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += work
         np.square(g, out=work)
-        work *= 1.0 - state.beta2
-        v *= state.beta2
+        work *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += work
         step = m / bc1
         step *= state.lr
         denom = np.divide(v, bc2, out=work) if work.dtype == v.dtype else v / bc2
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         p -= step
-    return params, state

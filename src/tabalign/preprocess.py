@@ -51,7 +51,6 @@ class SeparationMask:
 
     raw_mask: np.ndarray
     encoded_mask: np.ndarray
-    ratio: float
 
 
 def fit(ds: Dataset, train_indices: np.ndarray, normalize: bool = True) -> Preprocessor:
@@ -146,11 +145,7 @@ def sample_mask(pp: Preprocessor, ratio: float, rng: np.random.Generator) -> Sep
     n_on = mask_popcount(ratio, pp.d_raw)
     raw_mask = np.zeros(pp.d_raw, dtype=np.uint8)
     raw_mask[rng.choice(pp.d_raw, size=n_on, replace=False)] = 1
-    return SeparationMask(
-        raw_mask=raw_mask,
-        encoded_mask=expand_mask(pp, raw_mask),
-        ratio=ratio,
-    )
+    return SeparationMask(raw_mask=raw_mask, encoded_mask=expand_mask(pp, raw_mask))
 
 
 def expand_mask(pp: Preprocessor, raw_mask: np.ndarray) -> np.ndarray:

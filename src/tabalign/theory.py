@@ -177,7 +177,9 @@ def ramp_offset(dim: int, delta_sq: float) -> np.ndarray:
     genuinely different separations (a flat offset would make every subset
     identical and the averaging step vacuous).
     """
-    if delta_sq < 0:
-        raise ConfigError("delta_sq must be non-negative")
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
+    if not (math.isfinite(delta_sq) and delta_sq >= 0):
+        raise ConfigError(f"delta_sq must be finite and non-negative, got {delta_sq}")
     ramp = np.arange(1, dim + 1, dtype=np.float64)
     return ramp * math.sqrt(delta_sq / np.square(ramp).sum())

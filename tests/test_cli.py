@@ -248,6 +248,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_in_missing_directory_is_created(self, workdir):
+        out = workdir / "missing" / "nested" / "eval.csv"
+        rc = main(
+            [
+                "eval", str(workdir / "run"),
+                "--config", str(workdir / "small.ini"),
+                "--episodes", "1", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert len(_read_csv(out)) == 2
+        assert len(_read_csv(out.with_name("eval_summary.csv"))) == 2
+
     def test_head_override_in_metadata(self, workdir):
         out = workdir / "eval_knn.csv"
         rc = main(
@@ -437,6 +450,27 @@ class TestTheoryCommand:
     def test_zero_trials_is_usage_error(self, workdir):
         rc = main(["theory", "--trials", "0", "--out-dir", str(workdir / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--delta-sq-grid", "1,x"],
+            ["--n-grid", "5,2.5"],
+            ["--delta-sq-grid", "nan"],
+            ["--delta-sq-grid", "inf"],
+            ["--dim", "0"],
+        ],
+    )
+    def test_bad_grid_or_dim_is_usage_error(self, tmp_path, capsys, recwarn, flags):
+        capsys.readouterr()
+        out = tmp_path / "th"
+        argv = ["theory", "--dim", "6", "--n-grid", "2", "--trials", "10", "--subsets", "1"]
+        rc = main(argv + flags + ["--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(recwarn)
+        assert not (out / "theory_bound.csv").exists()
 
 
 class TestAnalyzeCommand:

@@ -15,13 +15,7 @@ import pytest
 from tabalign.checkpoint import save_checkpoint
 from tabalign.cli import main
 from tabalign.config import _KEYS
-from tabalign.fewshot import (
-    ensemble_predict,
-    finetune_probs,
-    knn_probs,
-    linear_probe_probs,
-    prototype_probs,
-)
+from tabalign.fewshot import finetune_probs, knn_probs, linear_probe_probs, prototype_probs
 from tabalign.preprocess import fit
 from tabalign.pretrain import PretrainConfig, init_stack
 from tabalign.synthetic import make_gaussian_dataset
@@ -53,9 +47,7 @@ def test_checkpoint_section_names_every_header_key(tmp_path):
     assert documented == set(header)
 
 
-@pytest.mark.parametrize(
-    "head", [prototype_probs, knn_probs, linear_probe_probs, finetune_probs, ensemble_predict]
-)
+@pytest.mark.parametrize("head", [prototype_probs, knn_probs, linear_probe_probs, finetune_probs])
 def test_head_table_names_each_head_with_its_parameters(head):
     table = dict(re.findall(r"^\| `(\w+)\(([^)]*)\)` \|", _section("Python API"), flags=re.M))
     assert table.get(head.__name__) == ", ".join(inspect.signature(head).parameters)

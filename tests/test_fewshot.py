@@ -15,7 +15,6 @@ from tabalign.fewshot import (
     ProbeConfig,
     Protocol,
     embed,
-    ensemble_predict,
     evaluate,
     finetune_probs,
     knn_probs,
@@ -110,6 +109,13 @@ def _unstacked_evaluate(members, pp, ds, split_indices, protocol, raw_space=Fals
             accuracy = float(np.mean(preds == episode.query_labels))
             rows.append((seed_idx, ep_idx, accuracy))
     return rows
+
+
+@pytest.fixture
+def short_probes(monkeypatch):
+    # ``evaluate`` builds its probe configs from ``fewshot.ProbeConfig``; a
+    # 600-step cap keeps probes, and the per-episode oracle's, affordable.
+    monkeypatch.setattr(fewshot, "ProbeConfig", functools.partial(ProbeConfig, max_epochs=600))
 
 
 @pytest.fixture(scope="module")
@@ -479,21 +485,31 @@ class TestFinetune:
 class TestEnsemble:
     def test_single_member_equals_plain_head(self, eval_setup):
         ds, idx, pp, stack = eval_setup
-        x_sup = encode(pp, ds, idx.test[:8])
-        y_sup = np.asarray(np.arange(8) % 2)
-        x_qry = encode(pp, ds, idx.test[8:20])
-        ens = ensemble_predict([stack], x_sup, y_sup, x_qry, head="proto-cos")
-        solo = _predict(prototype_probs, embed(stack, x_sup), y_sup, embed(stack, x_qry))
-        np.testing.assert_array_equal(ens, solo)
+        protocol = Protocol(n_way=2, k_shot=4, n_episodes=3, n_query_per_class=6,
+                            head="proto-cos", base_seed=7)
+        expected = []
+        for ep_idx in range(protocol.n_episodes):
+            episode = sample_episode(ds, idx, 2, 4, 6, member_seed(7, 0, ep_idx, 0))
+            sup = embed(stack, encode(pp, ds, episode.support_rows))
+            qry = embed(stack, encode(pp, ds, episode.query_rows))
+            solo = _predict(prototype_probs, sup, episode.support_labels, qry)
+            expected.append((0, ep_idx, float(np.mean(solo == episode.query_labels))))
+        assert evaluate([stack], pp, ds, idx, protocol).rows == expected
 
     def test_identical_members_preserve_argmax(self, eval_setup):
         ds, idx, pp, stack = eval_setup
-        x_sup = encode(pp, ds, idx.test[:8])
+        x = encode(pp, ds, idx.test[:20])
         y_sup = np.asarray(np.arange(8) % 2)
-        x_qry = encode(pp, ds, idx.test[8:20])
-        one = ensemble_predict([stack], x_sup, y_sup, x_qry, head="proto-cos")
-        two = ensemble_predict([stack, copy.deepcopy(stack)], x_sup, y_sup, x_qry, head="proto-cos")
-        np.testing.assert_array_equal(one, two)
+        args = (x, np.arange(8)[None], y_sup[None], np.arange(8, 20)[None], "proto-cos", [FAST_PROBE])
+        _, (one,) = _member_probs([stack], *args)
+        _, two = _member_probs([stack, copy.deepcopy(stack)], *args)
+        for member_probs in two:
+            assert member_probs.tobytes() == one.tobytes()
+        np.testing.assert_array_equal(np.argmax(sum(two) / 2, axis=2), np.argmax(one, axis=2))
+        protocol = Protocol(n_way=4, k_shot=2, n_episodes=6, n_query_per_class=5,
+                            head="proto-cos")
+        pair = evaluate([stack, copy.deepcopy(stack)], pp, ds, idx, protocol)
+        assert pair.rows == evaluate([stack], pp, ds, idx, protocol).rows
 
     def test_ensemble_at_least_min_member(self, eval_setup):
         ds, idx, pp, _ = eval_setup
@@ -507,10 +523,11 @@ class TestEnsemble:
         )
         assert ens.mean_accuracy >= worst - 1e-12
 
-    def test_mixed_width_members_match_solo_probes(self, eval_setup):
+    def test_mixed_width_members_match_solo_probes(self, eval_setup, short_probes):
         """Members of embedding width 8 and 12 and a raw-space member (the
         encoded width is 12 too) each get the probabilities of their own
-        linear probe, and the ensemble averages those."""
+        linear probe, and ``evaluate`` scores the argmax of their average. A
+        ``None`` member is the identity member that raw space runs through."""
         ds, idx, pp, stack = eval_setup
         members = [
             stack,
@@ -518,9 +535,13 @@ class TestEnsemble:
             None,
             init_stack(pp.encoded_dim, 0.4, seed=2, cfg=TINY_CFG),
         ]
-        x_sup = encode(pp, ds, idx.test[:12])
-        y_sup = np.asarray(np.arange(12) % 4)
-        x_qry = encode(pp, ds, idx.test[12:40])
+        protocol = Protocol(n_way=4, k_shot=3, n_episodes=1, n_query_per_class=7,
+                            head="linear", base_seed=4)
+        episode = sample_episode(ds, idx, 4, 3, 7, member_seed(4, 0, 0, 0))
+        x_sup = encode(pp, ds, episode.support_rows)
+        y_sup = episode.support_labels
+        x_qry = encode(pp, ds, episode.query_rows)
+        cfg = fewshot.ProbeConfig(seed=member_seed(4, 0, 0, 1))
         _, fused = _member_probs(
             members,
             np.concatenate([x_sup, x_qry]),
@@ -528,22 +549,29 @@ class TestEnsemble:
             y_sup[None],
             np.arange(12, 40)[None],
             "linear",
-            [FAST_PROBE],
+            [cfg],
         )
         total = 0.0
         for member, (member_probs,) in zip(members, fused):
             sup = x_sup if member is None else embed(member, x_sup)
             qry = x_qry if member is None else embed(member, x_qry)
-            classes, probs = linear_probe_probs(sup, y_sup, qry, FAST_PROBE)
+            classes, probs = linear_probe_probs(sup, y_sup, qry, cfg)
             assert member_probs.tobytes() == probs.tobytes()
             total = total + probs
         expected = classes[np.argmax(total / len(members), axis=1)]
-        preds = ensemble_predict(members, x_sup, y_sup, x_qry, head="linear", cfg=FAST_PROBE)
-        np.testing.assert_array_equal(preds, expected)
+        report = evaluate(members, pp, ds, idx, protocol)
+        assert report.rows == [(0, 0, float(np.mean(expected == episode.query_labels)))]
 
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(HeadError):
-            ensemble_predict([], np.ones((2, 2)), np.array([0, 1]), np.ones((1, 2)))
+    def test_empty_ensemble_rejected(self, eval_setup):
+        ds, idx, pp, _ = eval_setup
+        protocol = Protocol(n_way=2, k_shot=1, n_episodes=1, n_query_per_class=2)
+        with pytest.raises(HeadError, match="at least one member"):
+            evaluate([], pp, ds, idx, protocol)
+        with pytest.raises(HeadError, match="at least one member"):
+            _member_probs(
+                [], np.ones((3, 2)), np.array([[0, 1]]), np.array([[0, 1]]),
+                np.array([[2]]), "proto-cos", [FAST_PROBE],
+            )
 
 
 class TestEvaluate:
@@ -637,11 +665,6 @@ class TestEvaluate:
 class TestEpisodeStacking:
     """``evaluate`` encodes and embeds each seed's rows once and stacks the
     probes; the per-episode loop above is the oracle."""
-
-    @pytest.fixture
-    def short_probes(self, monkeypatch):
-        # A 600-step cap keeps the per-episode oracle's probes affordable.
-        monkeypatch.setattr(fewshot, "ProbeConfig", functools.partial(ProbeConfig, max_epochs=600))
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize(

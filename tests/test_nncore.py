@@ -10,6 +10,9 @@ import pytest
 
 from tabalign.errors import DimensionError, LossError, OptimizerError
 from tabalign.nncore import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     NORM_EPS,
     AdamState,
     DenseLayer,
@@ -84,14 +87,14 @@ def _reference_infonce_loss(z, pos, temperature):
 
 def _reference_adam_step(params, grads, state):
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _peak_traced_bytes(fn) -> int:

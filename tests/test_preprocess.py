@@ -162,7 +162,6 @@ class TestMakeViews:
         mask = SeparationMask(
             raw_mask=np.array([0, 1, 0, 1], dtype=np.uint8),
             encoded_mask=np.array([0.0, 1.0, 0.0, 1.0]),
-            ratio=0.5,
         )
         x_f, x_t = make_views(np.array([1.0, 2.0, 3.0, 4.0]), mask)
         np.testing.assert_allclose(x_f, [1.0, 0.0, 3.0, 0.0])
@@ -172,7 +171,6 @@ class TestMakeViews:
         mask = SeparationMask(
             raw_mask=np.ones(3, dtype=np.uint8),
             encoded_mask=np.ones(3),
-            ratio=0.99,
         )
         x = np.array([1.0, -2.0, 5.0])
         x_f, x_t = make_views(x, mask)
@@ -184,7 +182,7 @@ class TestMakeViews:
         for _ in range(100):
             d = int(rng.integers(2, 20))
             m = (rng.random(d) < 0.5).astype(np.float64)
-            mask = SeparationMask(raw_mask=m.astype(np.uint8), encoded_mask=m, ratio=0.5)
+            mask = SeparationMask(raw_mask=m.astype(np.uint8), encoded_mask=m)
             x = rng.normal(size=d)
             x_f, x_t = make_views(x, mask)
             np.testing.assert_allclose(x_f + x_t, x)
@@ -194,7 +192,6 @@ class TestMakeViews:
         mask = SeparationMask(
             raw_mask=np.array([1, 0], dtype=np.uint8),
             encoded_mask=np.array([1.0, 0.0]),
-            ratio=0.5,
         )
         with pytest.raises(ViewError):
             make_views(np.ones(3), mask)

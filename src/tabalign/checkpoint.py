@@ -87,7 +87,7 @@ def _check_keys(what: str, value: object, expected: set[str]) -> None:
 def load_checkpoint(
     path: str | Path, cfg: PretrainConfig | None = None
 ) -> tuple[EncoderStack, Preprocessor]:
-    """Load a checkpoint. The returned stack carries a fresh optimizer state.
+    """Load a checkpoint as a stack and its fitted preprocessor.
 
     ``cfg`` replaces the stored config. Raises :class:`CheckpointError` on a
     malformed file or a parameter tensor holding NaN or infinity.

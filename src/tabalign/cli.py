@@ -35,7 +35,6 @@ from .pretrain import (
     DEFAULT_RATIOS,
     RATIO_RANDOM,
     EncoderStack,
-    PretrainReport,
     pretrain_ensemble,
 )
 from .synthetic import make_gaussian_dataset, write_dataset_files
@@ -61,22 +60,22 @@ def _ratio_tag(ratio: float | str) -> str:
     return RATIO_RANDOM if ratio == RATIO_RANDOM else f"ratio-{float(ratio):.2f}"
 
 
-def _prepare(cfg: RunConfig) -> tuple[Dataset, SplitIndices, Preprocessor, np.ndarray, np.ndarray]:
-    """Load, split, fit, and encode the train/valid partitions."""
+def _load_dataset(cfg: RunConfig) -> Dataset:
+    """The run's dataset, named by ``dataset_name`` when the config sets one."""
     ds = load_csv(cfg.data_path, cfg.schema_path)
     ds.name = cfg.dataset_name or ds.name
-    indices = split(ds, cfg.split_seed)
-    pp = fit(ds, indices.train, normalize=cfg.normalize)
-    x_train = encode(pp, ds, indices.train)
-    x_valid = encode(pp, ds, indices.valid)
-    return ds, indices, pp, x_train, x_valid
+    return ds
 
 
 def _train_ensemble(
     cfg: RunConfig, out_dir: Path
-) -> tuple[list[EncoderStack], list[PretrainReport], Preprocessor, Dataset, SplitIndices]:
-    """Pretrain one ensemble and write its checkpoints and report CSVs."""
-    ds, indices, pp, x_train, x_valid = _prepare(cfg)
+) -> tuple[list[EncoderStack], Preprocessor, Dataset, SplitIndices]:
+    """Pretrain one ensemble on the run's split and write its checkpoints and report CSVs."""
+    ds = _load_dataset(cfg)
+    indices = split(ds, cfg.split_seed)
+    pp = fit(ds, indices.train, normalize=cfg.normalize)
+    x_train = encode(pp, ds, indices.train)
+    x_valid = encode(pp, ds, indices.valid)
     out_dir.mkdir(parents=True, exist_ok=True)
     stacks, reports = pretrain_ensemble(x_train, x_valid, pp, cfg.ratios, cfg.pretrain, cfg.seed)
     for k, (stack, report) in enumerate(zip(stacks, reports)):
@@ -109,7 +108,7 @@ def _train_ensemble(
             for k, (stack, report) in members
         ],
     )
-    return stacks, reports, pp, ds, indices
+    return stacks, pp, ds, indices
 
 
 def _load_ensemble(ckpt_dir: Path) -> tuple[list[EncoderStack], Preprocessor]:
@@ -144,8 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "head": args.head,
     }
     members, pp = _load_ensemble(Path(args.checkpoint_dir))
-    ds = load_csv(cfg.data_path, cfg.schema_path)
-    ds.name = cfg.dataset_name or ds.name
+    ds = _load_dataset(cfg)
     indices = split(ds, cfg.split_seed)
     changes = {k: v for k, v in flags.items() if v is not None}
     out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
@@ -196,13 +194,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     }
     if args.axis in variants:
         for variant, variant_cfg in variants[args.axis]:
-            stacks, _, pp, ds, indices = _train_ensemble(variant_cfg, out_dir / variant)
+            stacks, pp, ds, indices = _train_ensemble(variant_cfg, out_dir / variant)
             rows.append((variant, evaluate(stacks, pp, ds, indices, cfg.protocol)))
     elif args.axis == "ratio":
         # The ratio axis always sweeps the standard grid plus the two
         # aggregate modes, regardless of the configured deployment ensemble.
         sweep = dataclasses.replace(cfg, ratios=list(DEFAULT_RATIOS) + [RATIO_RANDOM])
-        stacks, _, pp, ds, indices = _train_ensemble(sweep, out_dir / "members")
+        stacks, pp, ds, indices = _train_ensemble(sweep, out_dir / "members")
         fixed, random_member = stacks[:-1], stacks[-1]
         for stack in fixed:
             rows.append(
@@ -216,7 +214,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             (RATIO_RANDOM, evaluate([random_member], pp, ds, indices, cfg.protocol))
         )
     elif args.axis == "classifier":
-        stacks, _, pp, ds, indices = _train_ensemble(cfg, out_dir / "members")
+        stacks, pp, ds, indices = _train_ensemble(cfg, out_dir / "members")
         for head in ("linear", "proto-eucl", "proto-cos", "knn-eucl", "knn-cos", "finetune"):
             protocol = dataclasses.replace(cfg.protocol, head=head)
             rows.append((head, evaluate(stacks, pp, ds, indices, protocol)))
@@ -258,6 +256,9 @@ def cmd_theory(args: argparse.Namespace) -> int:
     trials_per_subset = max(1, args.trials // args.subsets)
     delta_grid = _grid("--delta-sq-grid", args.delta_sq_grid, float)
     n_grid = _grid("--n-grid", args.n_grid, int)
+    for n in n_grid:
+        if not 1 <= n <= args.dim:
+            raise ConfigError(f"--n-grid: subset size {n} outside [1, {args.dim}]")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +304,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"--separations must be >= 1, got {args.separations}")
     cfg = load_run_config(args.config)
     members, pp = _load_ensemble(Path(args.checkpoint_dir))
-    ds = load_csv(cfg.data_path, cfg.schema_path)
+    ds = _load_dataset(cfg)
     if ds.labels is None:
         raise ConfigError("analysis needs a labeled dataset")
     if not 1 <= args.k_max < ds.n_rows:

@@ -77,11 +77,11 @@ class PretrainConfig:
 
 @dataclass
 class EncoderStack:
-    """Encoder + conditioned projector with one shared Adam state.
+    """Encoder + conditioned projector: parameters and gradient buffers only.
 
     The projector input is the encoder output concatenated with the encoded
     mask vector (width ``embed_dim + encoded_dim``) unless conditioning is
-    disabled. The Adam state starts fresh when the stack is built.
+    disabled. Optimizer state belongs to a training run (:func:`pretrain`).
     """
 
     encoder: list[DenseLayer]
@@ -89,10 +89,6 @@ class EncoderStack:
     ratio: float | str
     seed: int
     cfg: PretrainConfig = field(default_factory=PretrainConfig)
-    adam: AdamState = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.adam = AdamState.for_params(self.parameters(), lr=self.cfg.learning_rate)
 
     @property
     def encoded_dim(self) -> int:
@@ -281,23 +277,29 @@ def train_step(
     batch: np.ndarray,
     pp: Preprocessor,
     rng: np.random.Generator,
+    adam: AdamState,
 ) -> float:
-    """One optimization step on a batch; returns the batch loss."""
+    """One optimization step on a batch under the run's Adam state; returns the batch loss."""
     loss = alignment_loss(stack, batch, pp, rng, with_grads=True)
     if not np.isfinite(loss):
         raise TrainingError(
             f"non-finite training loss (ratio={stack.ratio}, batch of {len(batch)})"
         )
-    adam_step(stack.parameters(), stack.gradients(), stack.adam)
+    adam_step(stack.parameters(), stack.gradients(), adam)
     return loss
 
 
-def _epoch_batches(n: int, batch_size: int, order: np.ndarray):
-    """Yield index slices of <= batch_size; a trailing batch of 1 is skipped."""
-    for start in range(0, n, batch_size):
-        rows = order[start : start + batch_size]
-        if len(rows) >= 2:
-            yield rows
+def _mean_loss(rows: np.ndarray, batch_size: int, order: np.ndarray, loss_of) -> float:
+    """Row-weighted mean of ``loss_of(batch)`` over ``rows[order]`` in batches of
+    <= batch_size; a trailing batch of 1 is skipped."""
+    total = 0.0
+    count = 0
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        if len(idx) >= 2:
+            total += loss_of(rows[idx]) * len(idx)
+            count += len(idx)
+    return total / count
 
 
 def pretrain(
@@ -312,19 +314,21 @@ def pretrain(
     most ``batch_size``. Validation loss is measured with freshly sampled
     masks under the same ratio policy. Training stops after ``patience``
     epochs without improvement (patience 0 behaves as 1) and the parameters
-    from the best-validation epoch are restored.
+    from the best-validation epoch are restored. Adam starts at zero on
+    every call: a second call on the same stack does not continue the
+    first call's moments.
     """
     cfg = stack.cfg
-    if len(valid) == 0:
-        raise TrainingError("validation set is empty")
     if len(train) < 2:
         raise TrainingError("training set needs at least 2 rows")
+    if len(valid) < 2:
+        raise TrainingError(f"validation set needs at least 2 rows, got {len(valid)}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([stack.seed, 1])))
+    adam = AdamState.for_params(stack.parameters(), lr=cfg.learning_rate)
     patience = max(1, cfg.patience)
     best_loss = np.inf
     best_epoch = 0
-    best_params: list[np.ndarray] | None = None
     since_improved = 0
     train_curve: list[float] = []
     valid_curve: list[float] = []
@@ -332,23 +336,13 @@ def pretrain(
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train))
-        total = 0.0
-        count = 0
-        for rows in _epoch_batches(len(train), cfg.batch_size, order):
-            loss = train_step(stack, train[rows], pp, rng)
-            total += loss * len(rows)
-            count += len(rows)
-        train_curve.append(total / count)
-
-        vtotal = 0.0
-        vcount = 0
-        for rows in _epoch_batches(len(valid), cfg.batch_size, np.arange(len(valid))):
-            vloss = alignment_loss(stack, valid[rows], pp, rng)
-            vtotal += vloss * len(rows)
-            vcount += len(rows)
-        if vcount == 0:
-            raise TrainingError("validation set has no batch of >= 2 rows")
-        vloss_epoch = vtotal / vcount
+        train_curve.append(
+            _mean_loss(train, cfg.batch_size, order, lambda b: train_step(stack, b, pp, rng, adam))
+        )
+        vloss_epoch = _mean_loss(
+            valid, cfg.batch_size, np.arange(len(valid)),
+            lambda b: alignment_loss(stack, b, pp, rng),
+        )
         if not np.isfinite(vloss_epoch):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         valid_curve.append(vloss_epoch)
@@ -363,9 +357,8 @@ def pretrain(
             if since_improved >= patience:
                 break
 
-    if best_params is not None:
-        for p, b in zip(stack.parameters(), best_params):
-            p[...] = b
+    for p, b in zip(stack.parameters(), best_params):
+        p[...] = b
     return PretrainReport(
         train_losses=train_curve,
         valid_losses=valid_curve,

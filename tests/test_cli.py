@@ -447,6 +447,19 @@ class TestTheoryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No space left" in err and err.count("\n") == 1
 
+    def test_out_of_range_subset_size_rejected_before_any_cell(self, workdir, capsys):
+        capsys.readouterr()
+        rc = main(
+            [
+                "theory", "--dim", "10", "--n-grid", "2,20", "--delta-sq-grid", "0,4",
+                "--trials", "2000", "--subsets", "10", "--out-dir", str(workdir / "th-range"),
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "[theory] D=" not in captured.out
+        assert "subset size 20 outside [1, 10]" in captured.err
+
     def test_zero_trials_is_usage_error(self, workdir):
         rc = main(["theory", "--trials", "0", "--out-dir", str(workdir / "x")])
         assert rc == 2

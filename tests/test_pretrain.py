@@ -6,6 +6,7 @@ import errno
 import importlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from tabalign.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tabalign.data import split
 from tabalign.errors import CheckpointError, ConfigError, TrainingError
 from tabalign.fewshot import embed
+from tabalign.nncore import AdamState
 from tabalign.preprocess import encode, fit
 from tabalign.pretrain import (
     RATIO_RANDOM,
@@ -135,12 +137,16 @@ class TestNearestNeighbors:
             nearest_neighbors(np.ones((3, 2)), 4, queries=np.ones((1, 2)))
 
 
+def _adam(stack):
+    return AdamState.for_params(stack.parameters(), lr=stack.cfg.learning_rate)
+
+
 class TestTrainStep:
     def test_batch_of_two_is_noop(self, encoded_gauss):
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         before = [p.copy() for p in stack.parameters()]
-        loss = train_step(stack, x_train[:2], pp, np.random.default_rng(0))
+        loss = train_step(stack, x_train[:2], pp, np.random.default_rng(0), _adam(stack))
         assert abs(loss) <= 1e-12
         for p, b in zip(stack.parameters(), before):
             np.testing.assert_array_equal(p, b)
@@ -152,7 +158,8 @@ class TestTrainStep:
         for _ in range(2):
             stack = init_stack(pp.encoded_dim, 0.3, seed=5, cfg=SMALL_CFG)
             rng = np.random.default_rng(5)
-            losses.append([train_step(stack, x_train[:64], pp, rng) for _ in range(3)])
+            adam = _adam(stack)
+            losses.append([train_step(stack, x_train[:64], pp, rng, adam) for _ in range(3)])
             params.append([p.copy() for p in stack.parameters()])
         assert losses[0] == losses[1]
         for a, b in zip(params[0], params[1]):
@@ -163,10 +170,11 @@ class TestTrainStep:
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=1, cfg=SMALL_CFG)
         rng = np.random.default_rng(1)
-        first = train_step(stack, x_train[:128], pp, rng)
+        adam = _adam(stack)
+        first = train_step(stack, x_train[:128], pp, rng, adam)
         last = None
         for _ in range(199):
-            last = train_step(stack, x_train[:128], pp, rng)
+            last = train_step(stack, x_train[:128], pp, rng, adam)
         assert last < first
 
 
@@ -222,22 +230,66 @@ class TestPretrain:
         for p, q in zip(stack.parameters(), twin.parameters()):
             assert p.tobytes() == q.tobytes()
 
-    def test_config_comes_from_the_stack(self, encoded_gauss):
+    def test_config_comes_from_the_stack(self, encoded_gauss, monkeypatch):
         """A config passed beside the stack would train under one learning rate
-        while the stack's Adam state kept another, so it is refused."""
+        while the stack's layers came from another, so it is refused; the run's
+        Adam state takes its step size from ``stack.cfg``."""
         pp, x_train, x_valid = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         other = PretrainConfig(**{**SMALL_CFG.__dict__, "learning_rate": 0.5, "max_epochs": 1})
         with pytest.raises(TypeError):
             pretrain(stack, x_train, x_valid, pp, other)
         assert stack.cfg is SMALL_CFG
-        assert stack.adam.lr == SMALL_CFG.learning_rate
+
+        rates = []
+        adam_step = pretrain_mod.adam_step
+
+        def spy(params, grads, state):
+            rates.append(state.lr)
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(pretrain_mod, "adam_step", spy)
+        cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "learning_rate": 0.005, "max_epochs": 1})
+        pretrain(init_stack(pp.encoded_dim, 0.2, seed=0, cfg=cfg), x_train, x_valid, pp)
+        assert rates and set(rates) == {cfg.learning_rate}
+
+    def test_stack_holds_no_optimizer_state(self, encoded_gauss):
+        pp, _, _ = encoded_gauss
+        assert not hasattr(init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), "adam")
+
+    def test_each_call_starts_adam_at_zero(self, encoded_gauss, monkeypatch):
+        """Two calls on one stack each start from step 0 with zero moments."""
+        pp, x_train, x_valid = encoded_gauss
+        cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 1})
+        stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=cfg)
+        starts = []
+        adam_step = pretrain_mod.adam_step
+
+        def spy(params, grads, state):
+            if state.t == 0:
+                starts.append(all(not m.any() and not v.any() for m, v in zip(state.m, state.v)))
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(pretrain_mod, "adam_step", spy)
+        pretrain(stack, x_train, x_valid, pp)
+        pretrain(stack, x_train, x_valid, pp)
+        assert starts == [True, True]
 
     def test_empty_validation_rejected(self, encoded_gauss):
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         with pytest.raises(TrainingError):
             pretrain(stack, x_train, x_train[:0], pp)
+
+    def test_one_row_validation_rejected_before_training(self, encoded_gauss, monkeypatch):
+        """A 1-row validation set has no batch to score, so no step is taken."""
+        pp, x_train, x_valid = encoded_gauss
+        stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
+        calls = []
+        monkeypatch.setattr(pretrain_mod, "train_step", lambda *args: calls.append(args))
+        with pytest.raises(TrainingError, match="validation set"):
+            pretrain(stack, x_train, x_valid[:1], pp)
+        assert calls == []
 
     def test_nonfinite_loss_aborts_with_diagnostic(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
@@ -394,6 +446,23 @@ class TestCheckpoint:
         assert loaded_pp.kinds == pp.kinds
         assert loaded_pp.cardinalities == pp.cardinalities
         assert loaded_pp.normalize == pp.normalize
+
+    def test_load_retains_parameters_and_gradients_only(self, encoded_gauss, tmp_path):
+        """A reloaded default-width stack keeps its parameters and their gradient
+        buffers (2x the parameter bytes), and no optimizer moments."""
+        pp, _, _ = encoded_gauss
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0), pp)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded, _ = load_checkpoint(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.nbytes for p in loaded.parameters())
+        assert param_bytes > 6_000_000
+        assert retained < 3 * param_bytes
 
     def test_save_is_byte_deterministic(self, encoded_gauss, tmp_path):
         pp, _, _ = encoded_gauss

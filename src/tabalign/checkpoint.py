@@ -23,7 +23,7 @@ from .data import CATEGORICAL, NUMERICAL
 from .errors import CheckpointError, ConfigError
 from .nncore import DenseLayer
 from .preprocess import Preprocessor
-from .pretrain import RATIO_RANDOM, EncoderStack, PretrainConfig, layer_shapes
+from .pretrain import RATIO_RANDOM, EncoderStack, PretrainConfig, layer_shapes, parse_ratio
 
 MAGIC = b"TBALCKPT"
 VERSION = 2
@@ -90,7 +90,8 @@ def load_checkpoint(
     """Load a checkpoint as a stack and its fitted preprocessor.
 
     ``cfg`` replaces the stored config. Raises :class:`CheckpointError` on a
-    malformed file or a parameter tensor holding NaN or infinity.
+    malformed file or header, including preprocessor statistics that do not
+    fit together, or on a parameter tensor holding NaN or infinity.
     """
     buf = Path(path).read_bytes()
     if len(buf) < _PREFIX.size:
@@ -109,11 +110,25 @@ def load_checkpoint(
         _check_keys("config", header["config"], _CONFIG_KEYS)
         _check_keys("preprocessor", header["preprocessor"], _PREPROCESSOR_KEYS)
         stored = PretrainConfig(**header["config"])
-        fields = header["preprocessor"]
-        for kind in fields["kinds"]:
+        ratio, seed, fields = parse_ratio(header["ratio"]), header["seed"], header["preprocessor"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+        ranges, encoded_dim = [], 0
+        for kind, card in zip(fields["kinds"], fields["cardinalities"], strict=True):
             if kind not in (NUMERICAL, CATEGORICAL):
                 raise ValueError(f"unknown column kind {kind!r}")
-        shapes = layer_shapes(fields["encoded_dim"], stored)
+            if not (card is None if kind == NUMERICAL else type(card) is int and card >= 2):
+                raise ValueError(f"{kind} column with cardinality {card!r}")
+            ranges.append((encoded_dim, encoded_dim + (card or 1)))
+            encoded_dim += card or 1
+        if fields["ranges"] != [list(r) for r in ranges] or fields["encoded_dim"] != encoded_dim:
+            raise ValueError("ranges and encoded_dim are not the one-hot layout of the columns")
+        means, stds = (np.array(fields[key], dtype=np.float64) for key in ("means", "stds"))
+        if not means.shape == stds.shape == (len(ranges),):
+            raise ValueError(f"means and stds need one value for each of {len(ranges)} columns")
+        if not (np.isfinite(means).all() and np.isfinite(stds).all() and stds.min() > 0.0):
+            raise ValueError("means must be finite, and stds finite and > 0")
+        shapes = layer_shapes(encoded_dim, stored)
     except (ValueError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
 
@@ -132,9 +147,7 @@ def load_checkpoint(
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes")
 
-    ranges = [(start, stop) for start, stop in fields["ranges"]]
-    means, stds = np.array(fields["means"]), np.array(fields["stds"])
-    pp = Preprocessor(**{**fields, "means": means, "stds": stds, "ranges": ranges})
+    pp = Preprocessor(**{**fields, "ranges": ranges, "encoded_dim": encoded_dim,
+                         "means": means, "stds": stds})
     layers = [DenseLayer(w, b) for w, b in zip(tensors[::2], tensors[1::2])]
-    stack = EncoderStack(layers[:2], layers[2:], header["ratio"], header["seed"], cfg or stored)
-    return stack, pp
+    return EncoderStack(layers[:2], layers[2:], ratio, seed, cfg or stored), pp

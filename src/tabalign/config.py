@@ -12,7 +12,7 @@ from typing import get_type_hints
 
 from .errors import ConfigError
 from .fewshot import Protocol
-from .pretrain import DEFAULT_RATIOS, RATIO_RANDOM, PretrainConfig
+from .pretrain import DEFAULT_RATIOS, PretrainConfig, parse_ratio
 
 
 @dataclass
@@ -70,21 +70,8 @@ def _parse_bool(value: str) -> bool:
 
 
 def parse_ratios(text: str) -> list[float | str]:
-    ratios: list[float | str] = []
-    for token in text.replace(";", ",").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == RATIO_RANDOM:
-            ratios.append(RATIO_RANDOM)
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise ValueError(f"{token!r} is not a number or {RATIO_RANDOM!r}") from None
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{value} outside (0, 1)")
-        ratios.append(value)
+    tokens = (token.strip() for token in text.replace(";", ",").split(","))
+    ratios = [parse_ratio(token) for token in tokens if token]
     if not ratios:
         raise ValueError("empty list")
     return ratios

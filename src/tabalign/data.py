@@ -195,12 +195,14 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
         expected = [name for name, _ in features]
         if label_name is not None:
             expected.append(label_name)
-        if set(header) != set(expected):
+        # Schema names are unique, so equal sorted lists also rule out a repeated column.
+        if sorted(header) != sorted(expected):
             missing = sorted(set(expected) - set(header))
             extra = sorted(set(header) - set(expected))
+            repeated = sorted({name for name in header if header.count(name) > 1})
             raise SchemaError(
                 f"{data_path}: header does not match schema "
-                f"(missing={missing}, unknown={extra})"
+                f"(missing={missing}, unknown={extra}, repeated={repeated})"
             )
         col_pos = {name: header.index(name) for name in expected}
 

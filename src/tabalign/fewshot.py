@@ -244,10 +244,9 @@ def _fit_probe(
     dim = x.shape[2] if encoder is None else encoder[-1].out_dim
     draws = {seed: _init_probe(dim, n_way, seed).ravel() for seed in dict.fromkeys(seeds)}
     # Each probe's w and b are views into one row of ``flat``, so Adam updates
-    # one tensor per step; ``grad`` is laid out the same way.
+    # one tensor per step; its gradient ``state.grads[0]`` is laid out the same way.
     flat = np.zeros((n_probes, n_way * dim + n_way))
     flat[:, : n_way * dim] = [draws[seed] for seed in seeds]
-    grad = np.empty_like(flat)
     params = [flat] + [t for layer in encoder or () for t in (layer.weight, layer.bias)]
     state = AdamState.for_params(params, lr=PROBE_LR)
     # Frozen float32 embeddings are upcast once here rather than in each
@@ -258,9 +257,9 @@ def _fit_probe(
 
     def step_constants() -> tuple[np.ndarray, ...]:
         """What each step reads besides ``h`` for the probes in the stack: the
-        views of ``flat``, ``grad`` and ``logits``, and the label terms."""
-        w, grad_w = (t[:, : n_way * dim].reshape(-1, n_way, dim) for t in (flat, grad))
-        b, grad_b = flat[:, n_way * dim :], grad[:, n_way * dim :]
+        views of ``flat``, ``state.grads[0]`` and ``logits``, and the label terms."""
+        w, grad_w = (t[:, : n_way * dim].reshape(-1, n_way, dim) for t in (flat, state.grads[0]))
+        b, grad_b = flat[:, n_way * dim :], state.grads[0][:, n_way * dim :]
         return (
             w, b, w.swapaxes(1, 2), b[:, None], grad_w, grad_b, logits.swapaxes(1, 2),
             *_label_constants(y, n_way),
@@ -286,11 +285,10 @@ def _fit_probe(
             raise HeadError("non-finite probe loss")
         np.matmul(d_logits_t, h, out=grad_w)
         np.sum(d_logits, axis=1, out=grad_b)
-        grads = [grad]
         if encoder is not None:
-            mlp_backward(encoder, cache, (d_logits[0] @ w[0]).astype(x.dtype, copy=False))
-            grads += [g for layer in encoder for g in (layer.grad_weight, layer.grad_bias)]
-        adam_step(params, grads, state)
+            d_h = (d_logits[0] @ w[0]).astype(x.dtype, copy=False)
+            mlp_backward(encoder, cache, d_h, state.grads[1:])
+        adam_step(params, state)
         steady = [
             count + 1 if abs(before - after) < PROBE_TOL else 0
             for count, before, after in zip(steady, prev, losses)
@@ -305,8 +303,9 @@ def _fit_probe(
             # The probes left have all taken the same number of steps, so
             # Adam's one step counter stays right for each of them.
             keep = ~stop
-            flat, grad, h, logits, y = flat[keep], grad[keep], h[keep], logits[keep], y[keep]
-            state.m[0], state.v[0] = state.m[0][keep], state.v[0][keep]
+            flat, h, logits, y = flat[keep], h[keep], logits[keep], y[keep]
+            for buffers in (state.grads, state.m, state.v):
+                buffers[0] = buffers[0][keep]
             params[0] = flat
             w, b, w_t, b_rows, grad_w, grad_b, d_logits_t, picks, onehot = step_constants()
             live = live[keep]

@@ -7,7 +7,7 @@ row-major with one sample per row; a layer computes ``x @ W.T + b``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +22,10 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class DenseLayer:
-    """Affine layer parameters with matching gradient buffers."""
+    """Affine layer parameters; their gradients live in the training run's :class:`AdamState`."""
 
     weight: np.ndarray
     bias: np.ndarray
-    grad_weight: np.ndarray = field(init=False)
-    grad_bias: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
 
     @property
     def in_dim(self) -> int:
@@ -89,8 +83,9 @@ def mlp_backward(
     layers: list[DenseLayer],
     cache: list[tuple[np.ndarray, np.ndarray]],
     d_out: np.ndarray,
+    grads: list[np.ndarray],
 ) -> np.ndarray:
-    """Backpropagate through the stack, writing each layer's gradient buffers in place.
+    """Backpropagate, writing layer i's gradients into ``grads[2 * i]`` and ``grads[2 * i + 1]``.
 
     Returns the gradient with respect to the network input; ``d_out`` is
     only read.
@@ -99,8 +94,8 @@ def mlp_backward(
     d_in = d_z
     for i in reversed(range(len(layers))):
         h_in, _ = cache[i]
-        np.matmul(d_z.T, h_in, out=layers[i].grad_weight)
-        np.sum(d_z, axis=0, out=layers[i].grad_bias)
+        np.matmul(d_z.T, h_in, out=grads[2 * i])
+        np.sum(d_z, axis=0, out=grads[2 * i + 1])
         d_in = d_z @ layers[i].weight
         if i > 0:
             d_in *= cache[i - 1][1] > 0.0
@@ -171,8 +166,9 @@ def infonce_loss(
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators and step counter for one tensor list."""
+    """Gradient buffers and Adam moments laid out like one tensor list, the step count and lr."""
 
+    grads: list[np.ndarray]
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int
@@ -181,6 +177,7 @@ class AdamState:
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
         return cls(
+            grads=[np.zeros_like(p) for p in params],
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             t=0,
@@ -188,20 +185,17 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-) -> None:
-    """One bias-corrected Adam update, applied in place to ``params``,
-    ``state.m`` and ``state.v``, with the ``ADAM_*`` constants.
+def adam_step(params: list[np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update from the gradients in ``state.grads``,
+    applied in place to ``params``, ``state.m`` and ``state.v``, with the
+    ``ADAM_*`` constants.
 
     Fails fast on non-finite gradients. Deterministic: identical inputs and
     state produce bitwise-identical results.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if len(params) != len(state.grads) or len(params) != len(state.m):
         raise OptimizerError("parameter, gradient, and state lists disagree in length")
-    for p, g in zip(params, grads):
+    for p, g in zip(params, state.grads):
         if p.shape != g.shape:
             raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if not np.all(np.isfinite(g)):
@@ -210,7 +204,7 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v in zip(params, state.grads, state.m, state.v):
         # The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` and
         # the moment updates, in their order, on two temporaries: ``work``
         # (the gradient's dtype) and ``step`` (the moments' dtype).

@@ -77,11 +77,11 @@ class PretrainConfig:
 
 @dataclass
 class EncoderStack:
-    """Encoder + conditioned projector: parameters and gradient buffers only.
+    """Encoder + conditioned projector: parameters only.
 
     The projector input is the encoder output concatenated with the encoded
     mask vector (width ``embed_dim + encoded_dim``) unless conditioning is
-    disabled. Optimizer state belongs to a training run (:func:`pretrain`).
+    disabled. A training run (:func:`pretrain`) owns gradients and optimizer state.
     """
 
     encoder: list[DenseLayer]
@@ -109,12 +109,6 @@ class EncoderStack:
             out.extend([layer.weight, layer.bias])
         return out
 
-    def gradients(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.encoder + self.projector:
-            out.extend([layer.grad_weight, layer.grad_bias])
-        return out
-
 
 @dataclass
 class PretrainReport:
@@ -139,6 +133,15 @@ def layer_shapes(encoded_dim: int, cfg: PretrainConfig) -> list[tuple[int, int]]
     ]
 
 
+def parse_ratio(ratio: float | str) -> float | str:
+    """``"random"``, or ``ratio`` as a float in (0, 1); raises ``ValueError`` otherwise."""
+    if ratio == RATIO_RANDOM:
+        return RATIO_RANDOM
+    if not 0.0 < float(ratio) < 1.0:
+        raise ValueError(f"separation ratio must be in (0, 1) or {RATIO_RANDOM!r}, got {ratio!r}")
+    return float(ratio)
+
+
 def init_stack(
     encoded_dim: int,
     ratio: float | str,
@@ -147,8 +150,7 @@ def init_stack(
 ) -> EncoderStack:
     """Build a freshly initialized stack with its own seeded parameter draw."""
     cfg = cfg or PretrainConfig()
-    if ratio != RATIO_RANDOM and not 0.0 < float(ratio) < 1.0:
-        raise TrainingError(f"separation ratio must be in (0, 1) or 'random', got {ratio}")
+    ratio = parse_ratio(ratio)
     dtype = cfg.numpy_dtype()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     layers = [init_layer(n_in, n_out, rng, dtype) for n_in, n_out in layer_shapes(encoded_dim, cfg)]
@@ -234,12 +236,12 @@ def composite_loss(
     x_f: np.ndarray,
     mask_vec: np.ndarray,
     pos: np.ndarray,
-    with_grads: bool = False,
+    grads: list[np.ndarray] | None = None,
 ) -> float:
     """Contrastive loss of encoder -> conditioned projector on fixed views.
 
-    ``pos`` names each row's positive partner. With ``with_grads`` the full
-    analytic parameter gradient lands in the layers' buffers.
+    ``pos`` names each row's positive partner. With ``grads``, laid out like
+    ``stack.parameters()``, the full analytic parameter gradient lands in it.
     """
     dtype = stack.cfg.numpy_dtype()
     h, enc_cache = mlp_forward(stack.encoder, np.asarray(x_f, dtype=dtype))
@@ -250,10 +252,12 @@ def composite_loss(
         proj_in = h
     z, proj_cache = mlp_forward(stack.projector, proj_in)
     loss, d_z = infonce_loss(z, pos, stack.cfg.temperature)
-    if with_grads:
-        d_proj_in = mlp_backward(stack.projector, proj_cache, d_z.astype(dtype, copy=False))
+    if grads is not None:
+        n = 2 * len(stack.encoder)
+        d_z = d_z.astype(dtype, copy=False)
+        d_proj_in = mlp_backward(stack.projector, proj_cache, d_z, grads[n:])
         d_h = d_proj_in[:, : stack.embed_dim] if stack.conditioned else d_proj_in
-        mlp_backward(stack.encoder, enc_cache, d_h)
+        mlp_backward(stack.encoder, enc_cache, d_h, grads[:n])
     return loss
 
 
@@ -262,14 +266,14 @@ def alignment_loss(
     batch: np.ndarray,
     pp: Preprocessor,
     rng: np.random.Generator,
-    with_grads: bool = False,
+    grads: list[np.ndarray] | None = None,
 ) -> float:
     """One alignment step on a batch: sample a mask, build views, pair rows
-    by target-view nearest neighbors, and score the contrastive loss."""
+    by target-view nearest neighbors, and score them with :func:`composite_loss`."""
     batch = np.asarray(batch, dtype=stack.cfg.numpy_dtype())
     x_f, x_t, mask_vec = _batch_views(stack, batch, pp, rng)
     pos = nearest_neighbor_indices(x_t)
-    return composite_loss(stack, x_f, mask_vec, pos, with_grads=with_grads)
+    return composite_loss(stack, x_f, mask_vec, pos, grads)
 
 
 def train_step(
@@ -279,13 +283,13 @@ def train_step(
     rng: np.random.Generator,
     adam: AdamState,
 ) -> float:
-    """One optimization step on a batch under the run's Adam state; returns the batch loss."""
-    loss = alignment_loss(stack, batch, pp, rng, with_grads=True)
+    """One optimization step on a batch, its gradient in ``adam.grads``; returns the batch loss."""
+    loss = alignment_loss(stack, batch, pp, rng, adam.grads)
     if not np.isfinite(loss):
         raise TrainingError(
             f"non-finite training loss (ratio={stack.ratio}, batch of {len(batch)})"
         )
-    adam_step(stack.parameters(), stack.gradients(), adam)
+    adam_step(stack.parameters(), adam)
     return loss
 
 

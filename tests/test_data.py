@@ -60,6 +60,13 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(data, schema)
 
+    def test_repeated_header_column_is_schema_error(self, tmp_path):
+        """A second ``num`` column would otherwise be dropped without a word."""
+        data = _write(tmp_path, "d.csv", "num,cat,num\n1.5,b,7\n2.0,a,8\n")
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_CAT)
+        with pytest.raises(SchemaError, match=r"repeated=\['num'\]"):
+            load_csv(data, schema)
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         data = _write(tmp_path, "d.csv", "num,cat\n1.5,b\nxyz,a\n")
         schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_CAT)

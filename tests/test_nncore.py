@@ -40,13 +40,13 @@ def _reference_mlp_forward(layers, x):
     return h, cache
 
 
-def _reference_mlp_backward(layers, cache, d_out):
+def _reference_mlp_backward(layers, cache, d_out, grads):
     d_z = np.asarray(d_out)
     d_in = d_z
     for i in reversed(range(len(layers))):
         h_in, _ = cache[i]
-        layers[i].grad_weight[...] = d_z.T @ h_in
-        layers[i].grad_bias[...] = d_z.sum(axis=0)
+        grads[2 * i][...] = d_z.T @ h_in
+        grads[2 * i + 1][...] = d_z.sum(axis=0)
         d_in = d_z @ layers[i].weight
         if i > 0:
             d_z = d_in * (cache[i - 1][1] > 0.0)
@@ -107,6 +107,11 @@ def _peak_traced_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+def _grads_for(layers):
+    """Zeroed gradient buffers laid out like the layers' weight, bias pairs."""
+    return [np.zeros_like(t) for layer in layers for t in (layer.weight, layer.bias)]
+
+
 def _random_net(rng, dims=(5, 7, 3)):
     return [
         init_layer(dims[0], dims[1], rng),
@@ -151,12 +156,13 @@ class TestMlpForward:
             return float((v * y).sum())
 
         y, cache = mlp_forward(layers, x)
-        d_x = mlp_backward(layers, cache, v)
+        grads = _grads_for(layers)
+        d_x = mlp_backward(layers, cache, v, grads)
         analytic = [
-            layers[0].grad_weight.copy(),
-            layers[0].grad_bias.copy(),
-            layers[1].grad_weight.copy(),
-            layers[1].grad_bias.copy(),
+            grads[0].copy(),
+            grads[1].copy(),
+            grads[2].copy(),
+            grads[3].copy(),
             d_x,
         ]
         arrays = [
@@ -173,13 +179,14 @@ class TestMlpForward:
     @staticmethod
     def _assert_bits_match_reference(layers, x, d_out):
         ref_out, ref_cache = _reference_mlp_forward(layers, x)
-        ref_d_x = _reference_mlp_backward(layers, ref_cache, d_out)
-        ref_grads = [g.tobytes() for layer in layers for g in (layer.grad_weight, layer.grad_bias)]
+        ref_grads = _grads_for(layers)
+        ref_d_x = _reference_mlp_backward(layers, ref_cache, d_out, ref_grads)
         out, cache = mlp_forward(layers, x)
-        d_x = mlp_backward(layers, cache, d_out)
+        grads = _grads_for(layers)
+        d_x = mlp_backward(layers, cache, d_out, grads)
         assert out.tobytes() == ref_out.tobytes()
         assert d_x.tobytes() == ref_d_x.tobytes()
-        assert [g.tobytes() for layer in layers for g in (layer.grad_weight, layer.grad_bias)] == ref_grads
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bits_match_reference_with_exact_zero_preactivations(self, dtype):
@@ -307,14 +314,16 @@ class TestAdam:
     def test_first_step_magnitude(self):
         theta = np.array([0.5])
         state = AdamState.for_params([theta], lr=0.001)
-        adam_step([theta], [np.array([1.0])], state)
+        state.grads[0][...] = 1.0
+        adam_step([theta], state)
         delta = theta[0] - 0.5
         assert delta == pytest.approx(-0.001 / (1.0 + 1e-8), abs=1e-12)
 
     def test_zero_gradient_is_noop(self):
         theta = np.array([0.7, -0.3])
         state = AdamState.for_params([theta], lr=0.01)
-        adam_step([theta], [np.zeros(2)], state)
+        state.grads[0][...] = 0.0
+        adam_step([theta], state)
         np.testing.assert_array_equal(theta, [0.7, -0.3])
         assert state.t == 1
 
@@ -328,7 +337,8 @@ class TestAdam:
         state = AdamState.for_params([theta], lr=0.1)
         traj = [1.0]
         for _ in range(100):
-            adam_step([theta], [2.0 * theta], state)
+            np.multiply(2.0, theta, out=state.grads[0])
+            adam_step([theta], state)
             traj.append(float(theta[0]))
         magnitudes = np.abs(traj)
         assert np.all(np.diff(magnitudes[:12]) < 0.0)
@@ -347,9 +357,10 @@ class TestAdam:
         p2 = p1.copy()
         s1 = AdamState.for_params([p1], lr=0.01)
         s2 = AdamState.for_params([p2], lr=0.01)
+        s1.grads[0][...] = s2.grads[0][...] = g
         for _ in range(10):
-            adam_step([p1], [g], s1)
-            adam_step([p2], [g], s2)
+            adam_step([p1], s1)
+            adam_step([p2], s2)
         assert p1.tobytes() == p2.tobytes()
         assert s1.m[0].tobytes() == s2.m[0].tobytes()
 
@@ -369,7 +380,10 @@ class TestAdam:
         for _ in range(20):
             grads = [rng.normal(size=shape).astype(g_dtype) for shape, _, g_dtype in specs]
             grads[1][:3] = 0.0
-            adam_step(params, grads, state)
+            # The list itself stands in for the state's buffers, so the last
+            # tensor keeps its float64 gradient.
+            state.grads = grads
+            adam_step(params, state)
             _reference_adam_step(ref_params, grads, ref_state)
             for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
                 assert got.dtype == want.dtype
@@ -379,7 +393,9 @@ class TestAdam:
     def test_nonfinite_gradient_fails_fast(self):
         theta = np.array([1.0])
         state = AdamState.for_params([theta], lr=0.01)
+        state.grads[0][...] = np.nan
         with pytest.raises(OptimizerError):
-            adam_step([theta], [np.array([np.nan])], state)
+            adam_step([theta], state)
+        state.grads[0] = np.ones(2)
         with pytest.raises(OptimizerError):
-            adam_step([theta], [np.ones(2)], state)
+            adam_step([theta], state)

@@ -19,33 +19,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERICAL
-from .errors import CheckpointError, ConfigError
+from .data import ColumnSchema
+from .errors import CheckpointError, ConfigError, SchemaError
 from .nncore import DenseLayer
 from .preprocess import Preprocessor
 from .pretrain import RATIO_RANDOM, EncoderStack, PretrainConfig, layer_shapes, parse_ratio
 
 MAGIC = b"TBALCKPT"
-VERSION = 2
+VERSION = 3
 _PREFIX = struct.Struct("<8sII")  # magic, version, header length
 
 # Encoder W1, b1, W2, b2, then projector W1, b1, W2, b2.
 _TENSOR_NAMES = [f"{net} {t}{i}" for net in ("encoder", "projector") for i in (1, 2) for t in "Wb"]
 _HEADER_KEYS = {"config", "preprocessor", "ratio", "seed"}
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(PretrainConfig)}
-_PREPROCESSOR_KEYS = {f.name for f in dataclasses.fields(Preprocessor)} - {"marginals"}
+_PREPROCESSOR_KEYS = {"schema", "means", "stds"}
+_COLUMN_KEYS = {f.name for f in dataclasses.fields(ColumnSchema)}
 
 
 def preprocessor_header(pp: Preprocessor) -> dict:
     """The fitted statistics a checkpoint stores; equal dicts mean the same preprocessor."""
     return {
-        "kinds": list(pp.kinds),
+        "schema": [dataclasses.asdict(col) for col in pp.schema],
         "means": pp.means.tolist(),
         "stds": pp.stds.tolist(),
-        "cardinalities": list(pp.cardinalities),
-        "ranges": [[int(start), int(stop)] for start, stop in pp.ranges],
-        "encoded_dim": int(pp.encoded_dim),
-        "normalize": bool(pp.normalize),
     }
 
 
@@ -90,8 +87,9 @@ def load_checkpoint(
     """Load a checkpoint as a stack and its fitted preprocessor.
 
     ``cfg`` replaces the stored config. Raises :class:`CheckpointError` on a
-    malformed file or header, including preprocessor statistics that do not
-    fit together, or on a parameter tensor holding NaN or infinity.
+    malformed file or header, including a column :class:`ColumnSchema`
+    rejects and means or stds that are not one finite value per column, or
+    on a parameter tensor holding NaN or infinity.
     """
     buf = Path(path).read_bytes()
     if len(buf) < _PREFIX.size:
@@ -113,23 +111,17 @@ def load_checkpoint(
         ratio, seed, fields = parse_ratio(header["ratio"]), header["seed"], header["preprocessor"]
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-        ranges, encoded_dim = [], 0
-        for kind, card in zip(fields["kinds"], fields["cardinalities"], strict=True):
-            if kind not in (NUMERICAL, CATEGORICAL):
-                raise ValueError(f"unknown column kind {kind!r}")
-            if not (card is None if kind == NUMERICAL else type(card) is int and card >= 2):
-                raise ValueError(f"{kind} column with cardinality {card!r}")
-            ranges.append((encoded_dim, encoded_dim + (card or 1)))
-            encoded_dim += card or 1
-        if fields["ranges"] != [list(r) for r in ranges] or fields["encoded_dim"] != encoded_dim:
-            raise ValueError("ranges and encoded_dim are not the one-hot layout of the columns")
+        for entry in fields["schema"]:
+            _check_keys("column", entry, _COLUMN_KEYS)
+        schema = [ColumnSchema(**entry) for entry in fields["schema"]]
         means, stds = (np.array(fields[key], dtype=np.float64) for key in ("means", "stds"))
-        if not means.shape == stds.shape == (len(ranges),):
-            raise ValueError(f"means and stds need one value for each of {len(ranges)} columns")
+        if not means.shape == stds.shape == (len(schema),):
+            raise ValueError(f"means and stds need one value for each of {len(schema)} columns")
         if not (np.isfinite(means).all() and np.isfinite(stds).all() and stds.min() > 0.0):
             raise ValueError("means must be finite, and stds finite and > 0")
-        shapes = layer_shapes(encoded_dim, stored)
-    except (ValueError, TypeError, ConfigError) as exc:
+        pp = Preprocessor(schema, means, stds)
+        shapes = layer_shapes(pp.encoded_dim, stored)
+    except (ValueError, TypeError, ConfigError, SchemaError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
 
     dtype = np.dtype(stored.numpy_dtype())
@@ -147,7 +139,5 @@ def load_checkpoint(
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes")
 
-    pp = Preprocessor(**{**fields, "ranges": ranges, "encoded_dim": encoded_dim,
-                         "means": means, "stds": stds})
     layers = [DenseLayer(w, b) for w, b in zip(tensors[::2], tensors[1::2])]
     return EncoderStack(layers[:2], layers[2:], ratio, seed, cfg or stored), pp

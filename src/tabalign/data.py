@@ -29,8 +29,8 @@ def _round_half_up(x: float) -> int:
 class ColumnSchema:
     """Declared kind of one raw column.
 
-    ``cardinality`` is the number of distinct category levels and is defined
-    only for categorical columns.
+    ``cardinality`` is the number of distinct category levels, an int >= 2,
+    and is defined only for categorical columns.
     """
 
     name: str
@@ -41,10 +41,10 @@ class ColumnSchema:
         if self.kind not in (NUMERICAL, CATEGORICAL):
             raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == CATEGORICAL:
-            if self.cardinality is None or self.cardinality < 2:
+            if type(self.cardinality) is not int or self.cardinality < 2:
                 raise SchemaError(
-                    f"column {self.name!r}: categorical cardinality must be >= 2, "
-                    f"got {self.cardinality}"
+                    f"column {self.name!r}: categorical cardinality must be an int >= 2, "
+                    f"got {self.cardinality!r}"
                 )
         elif self.cardinality is not None:
             raise SchemaError(f"column {self.name!r}: numerical columns have no cardinality")
@@ -65,7 +65,6 @@ class Dataset:
     labels: np.ndarray | None
     n_classes: int
     name: str = "dataset"
-    categories: dict[str, list[str]] = field(default_factory=dict)
     class_names: list[str] = field(default_factory=list)
 
     @property
@@ -274,16 +273,12 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
             schema.append(ColumnSchema(name, CATEGORICAL, cardinality))
 
     labels = np.asarray(label_cells, dtype=np.int64) if label_name is not None else None
-    categories = {
-        name: sorted(vocab[name], key=vocab[name].get) for name in vocab
-    }
     ds = Dataset(
         schema=schema,
         rows=np.asarray(cells, dtype=np.float64),
         labels=labels,
         n_classes=len(label_vocab) if label_name is not None else 0,
         name=data_path.stem,
-        categories=categories,
         class_names=sorted(label_vocab, key=label_vocab.get),
     )
     ds.validate()

@@ -7,37 +7,44 @@ split across the two views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .data import NUMERICAL, Dataset, _round_half_up
-from .errors import EncodingError, MaskError, ViewError
+from .data import NUMERICAL, ColumnSchema, Dataset, _round_half_up
+from .errors import EncodingError, MaskError, SchemaError, ViewError
 
 
 @dataclass
 class Preprocessor:
-    """Fitted per-column statistics plus the raw-to-encoded coordinate map.
+    """The columns a preprocessor was fitted on, and the statistics it learned.
 
     ``ranges[j]`` is the half-open range of encoded coordinates owned by raw
     column j: width 1 for numerical columns, width ``cardinality`` for
-    categorical ones. ``means``/``stds`` are meaningful for numerical columns
-    only (stored as 0/1 elsewhere); stds are strictly positive because
-    constant columns have their std replaced by 1.
+    categorical ones. It is derived from ``schema`` once, when the
+    preprocessor is built. ``means``/``stds`` are meaningful for numerical
+    columns only (stored as 0/1 elsewhere); stds are strictly positive
+    because constant columns have their std replaced by 1.
     """
 
-    kinds: list[str]
+    schema: list[ColumnSchema]
     means: np.ndarray
     stds: np.ndarray
-    cardinalities: list[int | None]
-    ranges: list[tuple[int, int]]
-    encoded_dim: int
-    normalize: bool = True
     marginals: list[np.ndarray] | None = None
+    ranges: list[tuple[int, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        stops = list(accumulate((c.cardinality or 1 for c in self.schema), initial=0))
+        self.ranges = list(zip(stops[:-1], stops[1:]))
 
     @property
     def d_raw(self) -> int:
-        return len(self.kinds)
+        return len(self.schema)
+
+    @property
+    def encoded_dim(self) -> int:
+        return self.ranges[-1][1] if self.ranges else 0
 
 
 @dataclass(frozen=True)
@@ -65,39 +72,19 @@ def fit(ds: Dataset, train_indices: np.ndarray, normalize: bool = True) -> Prepr
         raise EncodingError("fit requires at least one training row")
     x = ds.rows[train_indices]
 
-    kinds = [c.kind for c in ds.schema]
     means = np.zeros(ds.d_raw)
     stds = np.ones(ds.d_raw)
-    cardinalities: list[int | None] = []
-    ranges: list[tuple[int, int]] = []
     marginals: list[np.ndarray] = []
-    offset = 0
     for j, col in enumerate(ds.schema):
         if col.kind == NUMERICAL:
             if normalize:
                 means[j] = x[:, j].mean()
                 std = x[:, j].std()
                 stds[j] = std if std > 0.0 else 1.0
-            cardinalities.append(None)
-            ranges.append((offset, offset + 1))
-            offset += 1
             marginals.append((x[:, j] - means[j]) / stds[j])
         else:
-            cardinalities.append(col.cardinality)
-            ranges.append((offset, offset + col.cardinality))
-            offset += col.cardinality
             marginals.append(x[:, j].astype(np.int64))
-
-    return Preprocessor(
-        kinds=kinds,
-        means=means,
-        stds=stds,
-        cardinalities=cardinalities,
-        ranges=ranges,
-        encoded_dim=offset,
-        normalize=normalize,
-        marginals=marginals,
-    )
+    return Preprocessor(list(ds.schema), means, stds, marginals)
 
 
 def encode_rows(pp: Preprocessor, rows: np.ndarray) -> np.ndarray:
@@ -107,9 +94,9 @@ def encode_rows(pp: Preprocessor, rows: np.ndarray) -> np.ndarray:
         raise EncodingError(f"rows have {rows.shape[1]} columns, expected {pp.d_raw}")
     n = rows.shape[0]
     out = np.zeros((n, pp.encoded_dim))
-    for j, kind in enumerate(pp.kinds):
+    for j, col in enumerate(pp.schema):
         start, stop = pp.ranges[j]
-        if kind == NUMERICAL:
+        if col.kind == NUMERICAL:
             out[:, start] = (rows[:, j] - pp.means[j]) / pp.stds[j]
         else:
             idx = np.rint(rows[:, j]).astype(np.int64)
@@ -123,7 +110,15 @@ def encode_rows(pp: Preprocessor, rows: np.ndarray) -> np.ndarray:
 
 
 def encode(pp: Preprocessor, ds: Dataset, indices: np.ndarray) -> np.ndarray:
-    """Encode the selected dataset rows; see :func:`encode_rows`."""
+    """Encode the selected dataset rows; see :func:`encode_rows`.
+
+    Raises :class:`SchemaError` unless the dataset has the columns the
+    preprocessor was fitted on, in the same order.
+    """
+    if ds.schema != pp.schema:
+        raise SchemaError(
+            f"dataset {ds.name!r} does not have the columns the preprocessor was fitted on"
+        )
     return encode_rows(pp, ds.rows[np.asarray(indices)])
 
 
@@ -150,11 +145,8 @@ def sample_mask(pp: Preprocessor, ratio: float, rng: np.random.Generator) -> Sep
 
 def expand_mask(pp: Preprocessor, raw_mask: np.ndarray) -> np.ndarray:
     """Expand a raw-column mask so every encoded coordinate of a column shares its bit."""
-    encoded = np.zeros(pp.encoded_dim)
-    for j, (start, stop) in enumerate(pp.ranges):
-        if raw_mask[j]:
-            encoded[start:stop] = 1.0
-    return encoded
+    widths = [stop - start for start, stop in pp.ranges]
+    return np.repeat(np.asarray(raw_mask, dtype=np.float64), widths)
 
 
 def make_views(x: np.ndarray, mask: SeparationMask) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +188,7 @@ def make_views_marginal(
         start, stop = pp.ranges[j]
         pool = pp.marginals[j]
         draws = pool[rng.integers(len(pool), size=n)]
-        if pp.kinds[j] == NUMERICAL:
+        if pp.schema[j].kind == NUMERICAL:
             x_f[:, start] = draws
         else:
             x_f[:, start:stop] = 0.0

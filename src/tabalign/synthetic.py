@@ -62,11 +62,6 @@ def make_gaussian_dataset(
         labels=labels.astype(np.int64),
         n_classes=n_classes,
         name=name,
-        categories={
-            c.name: [f"lv{i}" for i in range(c.cardinality)]
-            for c in schema
-            if c.kind == CATEGORICAL
-        },
         class_names=[f"c{i}" for i in range(n_classes)],
     )
     ds.validate()

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tabalign import analysis, cli
 from tabalign.checkpoint import load_checkpoint, save_checkpoint
@@ -330,6 +331,27 @@ class TestEvalCommand:
             save_checkpoint(mixed / f"member-{k:02d}.ckpt", stack, pp)
         rc = main(["eval", str(mixed), "--config", str(workdir / "small.ini")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_columns_other_than_the_checkpoints_are_usage_error(self, workdir, command, capsys):
+        """The same columns listed in reverse order would take each other's statistics."""
+        schema = yaml.safe_load((workdir / "synth.schema.yaml").read_text())
+        features = [c for c in schema["columns"] if not c.get("label")]
+        labels = [c for c in schema["columns"] if c.get("label")]
+        reversed_schema = workdir / f"reversed-{command}.schema.yaml"
+        reversed_schema.write_text(yaml.safe_dump({"columns": features[::-1] + labels}))
+        ini = workdir / f"reversed-{command}.ini"
+        ini.write_text(
+            (workdir / "small.ini").read_text().replace(
+                str(workdir / "synth.schema.yaml"), str(reversed_schema)
+            )
+        )
+        capsys.readouterr()
+        rc = main([command, str(workdir / "run"), "--config", str(ini),
+                   "--out" if command == "eval" else "--out-dir",
+                   str(workdir / f"reversed-{command}")])
+        assert rc == 2
+        assert "columns the preprocessor was fitted on" in capsys.readouterr().err
 
 
 class TestAblateCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tabalign.data import (
+    CATEGORICAL,
     NUMERICAL,
     ColumnSchema,
     Dataset,
@@ -40,7 +41,6 @@ class TestLoadCsv:
         ds = load_csv(data, schema)
         np.testing.assert_allclose(ds.rows, [[1.5, 0.0], [2.0, 1.0]])
         assert ds.schema[1].cardinality == 2
-        assert ds.categories["cat"] == ["b", "a"]
 
     def test_label_column(self, tmp_path):
         data = _write(tmp_path, "d.csv", "num,y\n1,pos\n2,neg\n3,pos\n")
@@ -127,6 +127,16 @@ class TestLoadCsv:
         np.testing.assert_allclose(
             back.rows[:, num_cols], ds.rows[:, num_cols], rtol=1e-8, atol=1e-8
         )
+
+
+@pytest.mark.parametrize(
+    "kind,cardinality",
+    [(CATEGORICAL, 3.0), (CATEGORICAL, "3"), (CATEGORICAL, True), (CATEGORICAL, 1),
+     (CATEGORICAL, None), (NUMERICAL, 3), ("ordinal", None)],
+)
+def test_column_schema_rejects_a_bad_kind_or_cardinality(kind, cardinality):
+    with pytest.raises(SchemaError):
+        ColumnSchema("c", kind, cardinality)
 
 
 class TestSplit:

@@ -43,8 +43,13 @@ def test_checkpoint_section_names_every_header_key(tmp_path):
     blob = (tmp_path / "m.ckpt").read_bytes()
     (length,) = struct.unpack_from("<I", blob, 12)
     header = json.loads(blob[16 : 16 + length])
-    documented = set(re.findall(r"^- `(\w+)`:", _section("Checkpoints"), flags=re.M))
+    section = _section("Checkpoints")
+    documented = set(re.findall(r"^- `(\w+)`:", section, flags=re.M))
     assert documented == set(header)
+    # The `preprocessor` bullet names its keys and the keys of each column entry.
+    bullet = re.search(r"^- `preprocessor`:(.*?)(?=\n\n|\n- )", section, flags=re.M | re.S)
+    fitted = header["preprocessor"]
+    assert set(re.findall(r"`(\w+)`", bullet.group(1))) == set(fitted) | set(fitted["schema"][0])
 
 
 @pytest.mark.parametrize("head", [prototype_probs, knn_probs, linear_probe_probs, finetune_probs])

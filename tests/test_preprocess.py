@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabalign.data import CATEGORICAL, NUMERICAL, ColumnSchema, Dataset
-from tabalign.errors import EncodingError, MaskError, ViewError
+from tabalign.errors import EncodingError, MaskError, SchemaError, ViewError
 from tabalign.preprocess import (
     SeparationMask,
     encode,
@@ -119,6 +119,19 @@ class TestEncode:
         pp2 = fit(shuffled, train)
         held2 = encode(pp2, shuffled, np.array([row_25_new]))
         np.testing.assert_array_equal(held, held2)
+
+    def test_columns_other_than_the_fitted_ones_rejected(self):
+        """The same numerical columns in reverse order would take the wrong statistics."""
+        ds = Dataset(
+            schema=[ColumnSchema(f"x{j}", NUMERICAL) for j in range(3)],
+            rows=np.arange(12.0).reshape(4, 3) ** 2,
+            labels=None,
+            n_classes=0,
+        )
+        pp = fit(ds, np.arange(4))
+        reversed_ds = dataclasses.replace(ds, schema=ds.schema[::-1], rows=ds.rows[:, ::-1])
+        with pytest.raises(SchemaError, match="columns the preprocessor was fitted on"):
+            encode(pp, reversed_ds, np.arange(4))
 
 
 class TestSampleMask:
@@ -248,7 +261,7 @@ class TestMarginalImputation:
         np.testing.assert_allclose(x_t, x * mask.encoded_mask)
         for j in np.flatnonzero(mask.raw_mask):
             start, stop = pp.ranges[j]
-            if pp.kinds[j] == NUMERICAL:
+            if pp.schema[j].kind == NUMERICAL:
                 observed = set(np.round(pp.marginals[j], 12))
                 filled = set(np.round(x_f[:, start], 12))
                 assert filled <= observed

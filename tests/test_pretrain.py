@@ -442,10 +442,9 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p, q)
         np.testing.assert_array_equal(loaded_pp.means, pp.means)
         np.testing.assert_array_equal(loaded_pp.stds, pp.stds)
+        assert loaded_pp.schema == pp.schema
         assert loaded_pp.ranges == pp.ranges
-        assert loaded_pp.kinds == pp.kinds
-        assert loaded_pp.cardinalities == pp.cardinalities
-        assert loaded_pp.normalize == pp.normalize
+        assert loaded_pp.encoded_dim == pp.encoded_dim
 
     def test_load_retains_parameters_only(self, encoded_gauss, tmp_path):
         """A reloaded default-width stack keeps its parameters only: no gradient
@@ -572,6 +571,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
             load_checkpoint(path)
 
+    def test_v2_layout_rejected(self, encoded_gauss, tmp_path):
+        """A format-2 file stored the one-hot layout and `normalize` beside the statistics."""
+        pp, _, _ = encoded_gauss
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        header = json.loads(blob[16 : 16 + header_len])
+        header["preprocessor"] = {
+            "kinds": [c.kind for c in pp.schema],
+            "means": pp.means.tolist(),
+            "stds": pp.stds.tolist(),
+            "cardinalities": [c.cardinality for c in pp.schema],
+            "ranges": [list(r) for r in pp.ranges],
+            "encoded_dim": pp.encoded_dim,
+            "normalize": True,
+        }
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(MAGIC + struct.pack("<II", 2, len(text)) + text + blob[16 + header_len :])
+        with pytest.raises(CheckpointError, match="unsupported format version 2"):
+            load_checkpoint(path)
+
     def test_corrupt_json_header_rejected(self, encoded_gauss, tmp_path):
         pp, _, _ = encoded_gauss
         path = tmp_path / "j.ckpt"
@@ -591,20 +612,23 @@ class TestCheckpoint:
             (lambda h: h["config"].pop("dtype"), "malformed header"),
             (lambda h: h["config"].update(temperature=-1.0), "malformed header"),
             (lambda h: h["config"].update(dtype="float16"), "malformed header"),
-            (lambda h: h["preprocessor"].pop("normalize"), "malformed header"),
-            (lambda h: h["preprocessor"]["kinds"].__setitem__(0, "ordinal"), "unknown column kind"),
+            (lambda h: h["preprocessor"]["schema"][0].update(kind="ordinal"), "unknown kind"),
+            (lambda h: h["preprocessor"]["schema"][0].update(kind="categorical", cardinality=3.0),
+             "cardinality must be an int >= 2"),
+            (lambda h: h["preprocessor"]["schema"][0].update(cardinality=3),
+             "numerical columns have no cardinality"),
+            (lambda h: h["preprocessor"]["schema"][0].update(label=True), "column keys are"),
             (lambda h: h.update(ratio="banana"), "malformed header"),
             (lambda h: h.update(ratio=7.5), "separation ratio"),
             (lambda h: h.update(seed="x"), "seed must be an int"),
-            (lambda h: h["preprocessor"].update(ranges=[[0, 1]] * 4), "layout"),
             (lambda h: h["preprocessor"]["means"].pop(), "one value for each"),
             (lambda h: h["preprocessor"]["stds"].__setitem__(3, 0.0), "stds finite and > 0"),
         ],
         ids=[
             "no-seed", "extra-key", "no-config-dtype", "negative-temperature",
-            "unknown-dtype", "no-normalize", "unknown-kind", "ratio-not-a-number",
-            "ratio-out-of-range", "seed-not-an-int", "ranges-not-the-layout", "short-means",
-            "zero-std",
+            "unknown-dtype", "unknown-kind", "float-cardinality",
+            "numerical-cardinality", "extra-column-key", "ratio-not-a-number",
+            "ratio-out-of-range", "seed-not-an-int", "short-means", "zero-std",
         ],
     )
     def test_bad_header_rejected(self, encoded_gauss, tmp_path, edit, match):

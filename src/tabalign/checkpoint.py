@@ -121,14 +121,14 @@ def load_checkpoint(
             raise ValueError("means must be finite, and stds finite and > 0")
         pp = Preprocessor(schema, means, stds)
         shapes = layer_shapes(pp.encoded_dim, stored)
-    except (ValueError, TypeError, ConfigError, SchemaError) as exc:
+    except (ValueError, TypeError, OverflowError, ConfigError, SchemaError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
 
     dtype = np.dtype(stored.numpy_dtype())
     tensors = []
     for fan_in, fan_out in shapes:
-        for shape in ((fan_out, fan_in), (fan_out,)):
-            name, count = _TENSOR_NAMES[len(tensors)], int(np.prod(shape))
+        for shape, count in (((fan_out, fan_in), fan_out * fan_in), ((fan_out,), fan_out)):
+            name = _TENSOR_NAMES[len(tensors)]
             if pos + count * dtype.itemsize > len(buf):
                 raise CheckpointError(f"{path}: truncated checkpoint")
             a = np.frombuffer(buf, dtype=dtype.newbyteorder("<"), count=count, offset=pos)

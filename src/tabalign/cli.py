@@ -124,12 +124,11 @@ def _load_ensemble(ckpt_dir: Path) -> tuple[list[EncoderStack], Preprocessor]:
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = Path(args.out_dir)
     if args.seed is not None:
-        cfg.seed = args.seed
-    _train_ensemble(cfg, cfg.out_dir)
-    print(f"[pretrain] wrote checkpoints to {cfg.out_dir}")
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    out_dir = Path(args.out_dir) if args.out_dir else cfg.out_dir
+    _train_ensemble(cfg, out_dir)
+    print(f"[pretrain] wrote checkpoints to {out_dir}")
     return 0
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .fewshot import Protocol
 from .pretrain import DEFAULT_RATIOS, PretrainConfig, parse_ratio
 
@@ -19,7 +19,7 @@ from .pretrain import DEFAULT_RATIOS, PretrainConfig, parse_ratio
 class RunConfig:
     """Everything a command needs: data paths, training and evaluation settings.
 
-    ``protocol.n_way`` 0 means all classes of the dataset.
+    ``protocol.n_way`` 0 means all classes of the dataset; the seeds are ints >= 0.
     """
 
     data_path: Path
@@ -32,6 +32,9 @@ class RunConfig:
     seed: int = 0
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     protocol: Protocol = field(default_factory=lambda: Protocol(n_way=0, k_shot=5))
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError, {"split_seed": 0, "seed": 0}, {})
 
 
 def _same_names(part: str, names: Iterable[str]) -> dict[str, tuple[str, str]]:

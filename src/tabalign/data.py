@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import EpisodeError, FormatError, ParseError, SchemaError, SplitError
+from .errors import EpisodeError, FormatError, ParseError, SchemaError, SplitError, check_fields
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
@@ -38,16 +38,11 @@ class ColumnSchema:
     cardinality: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (NUMERICAL, CATEGORICAL):
-            raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == CATEGORICAL:
-            if type(self.cardinality) is not int or self.cardinality < 2:
-                raise SchemaError(
-                    f"column {self.name!r}: categorical cardinality must be an int >= 2, "
-                    f"got {self.cardinality!r}"
-                )
-        elif self.cardinality is not None:
-            raise SchemaError(f"column {self.name!r}: numerical columns have no cardinality")
+        def error(message: str) -> SchemaError:
+            return SchemaError(f"column {self.name!r}: {message}")
+        check_fields(self, error, {"cardinality": 2}, {"kind": (NUMERICAL, CATEGORICAL)})
+        if (self.kind == CATEGORICAL) != (self.cardinality is not None):
+            raise error("numerical columns have no cardinality, categorical ones need one")
 
 
 @dataclass
@@ -259,19 +254,8 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
     if not cells:
         raise FormatError(f"{data_path}: no data rows")
 
-    schema: list[ColumnSchema] = []
-    for name, kind in features:
-        if kind == NUMERICAL:
-            schema.append(ColumnSchema(name, NUMERICAL))
-        else:
-            cardinality = len(vocab[name])
-            if cardinality < 2:
-                raise SchemaError(
-                    f"{data_path}: categorical column {name!r} has "
-                    f"{cardinality} observed level(s), need >= 2"
-                )
-            schema.append(ColumnSchema(name, CATEGORICAL, cardinality))
-
+    schema = [ColumnSchema(name, kind, len(vocab[name]) if name in vocab else None)
+              for name, kind in features]
     labels = np.asarray(label_cells, dtype=np.int64) if label_name is not None else None
     ds = Dataset(
         schema=schema,

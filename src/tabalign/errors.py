@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule a settings record's fields meet."""
+
+import functools
+import types
+import typing
 
 
 class TabAlignError(Exception):
@@ -67,3 +71,26 @@ class CheckpointError(TabAlignError):
 
 class ConfigError(TabAlignError):
     """Invalid run configuration."""
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """The classes each field admits: ``X | Y`` both, ``list[X]`` a list, ``float`` an int too."""
+    hints = typing.get_type_hints(cls).items()
+    unions = {n: typing.get_args(h) if isinstance(h, types.UnionType) else (h,) for n, h in hints}
+    return {n: tuple(typing.get_origin(t) or t for t in ts + (int,) * (float in ts))
+            for n, ts in unions.items()}
+
+
+def check_fields(record, error: typing.Callable[[str], Exception], least: dict, choices: dict):
+    """Raise ``error(message)`` unless each field of the dataclass ``record`` holds what its
+    annotation admits (a bool is no int), is >= ``least`` unless None, and is in ``choices``."""
+    for name, admitted in _field_types(type(record)).items():
+        value, floor = getattr(record, name), f" >= {least[name]}" if name in least else ""
+        if (not isinstance(value, admitted) or (type(value) is bool and bool not in admitted)
+                or (floor and value is not None and not value >= least[name])):
+            kinds = " or ".join(("an " if t is int else "a ") + t.__name__
+                                for t in admitted if t is not types.NoneType)
+            raise error(f"{name} must be {kinds}{floor}, got {value!r}")
+        if name in choices and value not in choices[name]:
+            raise error(f"unknown {name} {value!r}, expected one of {', '.join(choices[name])}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, SplitIndices, sample_episode
-from .errors import ConfigError, DimensionError, HeadError
-from .nncore import AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
+from .errors import ConfigError, DimensionError, HeadError, check_fields
+from .nncore import NORM_EPS, AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
 from .preprocess import Preprocessor, encode
 from .pretrain import EncoderStack, member_seed, nearest_neighbors
 
@@ -47,9 +47,9 @@ class ProbeConfig:
 class Protocol:
     """Episode-loop settings for :func:`evaluate`.
 
-    Raises :class:`ConfigError` on a ``head`` that is neither ``"auto"`` nor
-    one of :data:`HEADS`, on ``n_way`` < 0 (0 takes every class), or on
-    ``k_shot``, ``n_episodes``, ``n_seeds`` or ``n_query_per_class`` < 1.
+    Raises :class:`ConfigError` on a value not of its field's type, a ``head``
+    that is neither ``"auto"`` nor one of :data:`HEADS`, ``n_way`` (0 takes
+    every class) or ``base_seed`` < 0, or another count < 1.
     """
 
     n_way: int
@@ -61,12 +61,8 @@ class Protocol:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.head not in ("auto",) + HEADS:
-            raise ConfigError(f"head must be one of auto/{'/'.join(HEADS)}, got {self.head!r}")
-        counts = ("k_shot", "n_episodes", "n_seeds", "n_query_per_class")
-        for name, least in [("n_way", 0)] + [(name, 1) for name in counts]:
-            if not getattr(self, name) >= least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        least = dict(n_way=0, k_shot=1, n_episodes=1, n_seeds=1, n_query_per_class=1, base_seed=0)
+        check_fields(self, ConfigError, least, {"head": ("auto",) + HEADS})
 
     def resolved_head(self) -> str:
         if self.head != "auto":
@@ -142,7 +138,7 @@ def _check_support(
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.where(norms < 1e-12, 1.0, norms)
+    return m / np.where(norms < NORM_EPS, 1.0, norms)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

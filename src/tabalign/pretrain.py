@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, check_fields
 from .nncore import (
     AdamState,
     DenseLayer,
@@ -31,17 +31,17 @@ RATIO_RANDOM = "random"
 DEFAULT_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
-_IMPUTATIONS = ("zero", "marginal")
+_CHOICES = {"imputation": ("zero", "marginal"), "dtype": _DTYPES}
 # The smallest value of each integer setting; a batch of 1 has no neighbour to pair with.
-_LEAST = {"max_epochs": 1, "batch_size": 2, "hidden_dim": 1, "embed_dim": 1, "projector_dim": 1}
+_LEAST = dict(max_epochs=1, batch_size=2, patience=0, hidden_dim=1, embed_dim=1, projector_dim=1)
 
 
 @dataclass
 class PretrainConfig:
     """Training hyperparameters; defaults follow the standard recipe.
 
-    Raises :class:`ConfigError` on an unknown ``imputation`` or ``dtype``, on
-    ``max_epochs`` < 1, ``batch_size`` < 2 or a width < 1, and unless
+    Raises :class:`ConfigError` on a value not of its field's type, an unknown
+    ``imputation`` or ``dtype``, an int below its ``_LEAST`` value, and unless
     ``temperature`` and ``learning_rate`` are finite and positive.
     """
 
@@ -58,15 +58,7 @@ class PretrainConfig:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.imputation not in _IMPUTATIONS:
-            raise ConfigError(
-                f"imputation must be {' or '.join(map(repr, _IMPUTATIONS))}, got {self.imputation!r}"
-            )
-        if self.dtype not in _DTYPES:
-            raise ConfigError(f"dtype must be {' or '.join(map(repr, _DTYPES))}, got {self.dtype!r}")
-        for name, least in _LEAST.items():
-            if not getattr(self, name) >= least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        check_fields(self, ConfigError, _LEAST, _CHOICES)
         for name in ("temperature", "learning_rate"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
@@ -330,7 +322,6 @@ def pretrain(
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([stack.seed, 1])))
     adam = AdamState.for_params(stack.parameters(), lr=cfg.learning_rate)
-    patience = max(1, cfg.patience)
     best_loss = np.inf
     best_epoch = 0
     since_improved = 0
@@ -358,7 +349,7 @@ def pretrain(
             since_improved = 0
         else:
             since_improved += 1
-            if since_improved >= patience:
+            if since_improved >= cfg.patience:
                 break
 
     for p, b in zip(stack.parameters(), best_params):

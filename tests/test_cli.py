@@ -86,6 +86,14 @@ n_query = 3
     return root
 
 
+@pytest.fixture(scope="module")
+def run_dir(workdir):
+    """The checkpoints ``small.ini`` pretrains, for every test that reads them."""
+    rc = main(["pretrain", "--config", str(workdir / "small.ini")])
+    assert rc == 0
+    return workdir / "run"
+
+
 def _read_csv(path: Path) -> list[list[str]]:
     with path.open() as handle:
         return list(csv.reader(handle))
@@ -114,16 +122,14 @@ class TestGenData:
 
 
 class TestPretrainCommand:
-    def test_writes_checkpoints_and_reports(self, workdir):
-        rc = main(["pretrain", "--config", str(workdir / "small.ini")])
-        assert rc == 0
-        ckpts = sorted((workdir / "run").glob("*.ckpt"))
+    def test_writes_checkpoints_and_reports(self, run_dir):
+        ckpts = sorted(run_dir.glob("*.ckpt"))
         assert [p.name for p in ckpts] == [
             "member-00-ratio-0.20.ckpt",
             "member-01-ratio-0.40.ckpt",
         ]
-        assert (workdir / "run" / "pretrain_history.csv").exists()
-        assert (workdir / "run" / "pretrain_summary.csv").exists()
+        assert (run_dir / "pretrain_history.csv").exists()
+        assert (run_dir / "pretrain_summary.csv").exists()
 
     def test_history_and_summary_csvs(self, workdir):
         out = workdir / "pre-csv"
@@ -188,11 +194,11 @@ class TestPretrainCommand:
 
 
 class TestEvalCommand:
-    def test_single_episode_single_row(self, workdir):
+    def test_single_episode_single_row(self, workdir, run_dir):
         out = workdir / "eval1.csv"
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--episodes", "1", "--seeds", "1",
                 "--out", str(out),
@@ -204,11 +210,11 @@ class TestEvalCommand:
         assert rows[0] == ["dataset", "n_way", "k_shot", "head", "seed", "episode", "accuracy"]
         assert rows[1][3] == "proto-cos"
 
-    def test_report_and_summary_csvs(self, workdir):
+    def test_report_and_summary_csvs(self, workdir, run_dir):
         out = workdir / "eval-2x2.csv"
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--n-way", "3", "--k-shot", "1", "--episodes", "2", "--seeds", "2",
                 "--out", str(out),
@@ -234,13 +240,13 @@ class TestEvalCommand:
         accuracies = [float(row[6]) for row in rows[1:]]
         assert float(srows[1][6]) == pytest.approx(np.mean(accuracies), abs=1e-6)
 
-    def test_out_directory_is_usage_error(self, workdir, capsys):
+    def test_out_directory_is_usage_error(self, workdir, run_dir, capsys):
         out = workdir / "out-is-a-dir"
         out.mkdir()
         capsys.readouterr()
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--episodes", "1", "--out", str(out),
             ]
@@ -249,11 +255,11 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_out_in_missing_directory_is_created(self, workdir):
+    def test_out_in_missing_directory_is_created(self, workdir, run_dir):
         out = workdir / "missing" / "nested" / "eval.csv"
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--episodes", "1", "--out", str(out),
             ]
@@ -262,11 +268,11 @@ class TestEvalCommand:
         assert len(_read_csv(out)) == 2
         assert len(_read_csv(out.with_name("eval_summary.csv"))) == 2
 
-    def test_head_override_in_metadata(self, workdir):
+    def test_head_override_in_metadata(self, workdir, run_dir):
         out = workdir / "eval_knn.csv"
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--episodes", "1", "--seeds", "1",
                 "--head", "knn-eucl",
@@ -276,23 +282,23 @@ class TestEvalCommand:
         assert rc == 0
         assert _read_csv(out)[1][3] == "knn-eucl"
 
-    def test_unknown_head_is_usage_error(self, workdir):
+    def test_unknown_head_is_usage_error(self, workdir, run_dir):
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--head", "banana",
             ]
         )
         assert rc == 2
 
-    def test_rerun_gives_identical_csv(self, workdir):
+    def test_rerun_gives_identical_csv(self, workdir, run_dir):
         outs = []
         for name in ("rep-a.csv", "rep-b.csv"):
             out = workdir / name
             rc = main(
                 [
-                    "eval", str(workdir / "run"),
+                    "eval", str(run_dir),
                     "--config", str(workdir / "small.ini"),
                     "--out", str(out),
                 ]
@@ -301,10 +307,10 @@ class TestEvalCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_zero_episodes_is_usage_error(self, workdir):
+    def test_zero_episodes_is_usage_error(self, workdir, run_dir):
         rc = main(
             [
-                "eval", str(workdir / "run"),
+                "eval", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--episodes", "0",
                 "--out", str(workdir / "eval0.csv"),
@@ -333,7 +339,9 @@ class TestEvalCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
-    def test_columns_other_than_the_checkpoints_are_usage_error(self, workdir, command, capsys):
+    def test_columns_other_than_the_checkpoints_are_usage_error(
+        self, workdir, run_dir, command, capsys
+    ):
         """The same columns listed in reverse order would take each other's statistics."""
         schema = yaml.safe_load((workdir / "synth.schema.yaml").read_text())
         features = [c for c in schema["columns"] if not c.get("label")]
@@ -347,11 +355,35 @@ class TestEvalCommand:
             )
         )
         capsys.readouterr()
-        rc = main([command, str(workdir / "run"), "--config", str(ini),
+        rc = main([command, str(run_dir), "--config", str(ini),
                    "--out" if command == "eval" else "--out-dir",
                    str(workdir / f"reversed-{command}")])
         assert rc == 2
         assert "columns the preprocessor was fitted on" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit,command,flags",
+    [
+        (("split_seed = 0", "split_seed = -1"), "pretrain", []),
+        (("seed = 1\n", "seed = -1\n"), "pretrain", []),
+        (("", ""), "pretrain", ["--seed", "-1"]),
+        (("n_query = 3\n", "n_query = 3\nbase_seed = -1\n"), "eval", []),
+    ],
+    ids=["split_seed", "seed", "seed-flag", "base_seed"],
+)
+def test_negative_seed_is_usage_error(workdir, run_dir, capsys, edit, command, flags):
+    ini = workdir / "negative-seed.ini"
+    ini.write_text((workdir / "small.ini").read_text().replace(*edit))
+    if command == "pretrain":
+        args = ["pretrain", "--out-dir", str(workdir / "negative-seed")]
+    else:
+        args = ["eval", str(run_dir), "--out", str(workdir / "negative-seed.csv")]
+    capsys.readouterr()
+    assert main([*args, "--config", str(ini), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be an int >= 0" in err
 
 
 class TestAblateCommand:
@@ -509,11 +541,11 @@ class TestTheoryCommand:
 
 
 class TestAnalyzeCommand:
-    def test_writes_both_csvs(self, workdir):
+    def test_writes_both_csvs(self, workdir, run_dir):
         out = workdir / "an"
         rc = main(
             [
-                "analyze", str(workdir / "run"),
+                "analyze", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--separations", "3", "--k-max", "5",
                 "--out-dir", str(out),
@@ -532,14 +564,14 @@ class TestAnalyzeCommand:
             assert _is_fixed(row[1], 6)
             assert _is_fixed(row[2], 6) if int(row[3]) else row[2] == "nan"
 
-    def test_curve_csv_formats_each_k(self, workdir, monkeypatch):
+    def test_curve_csv_formats_each_k(self, workdir, run_dir, monkeypatch):
         monkeypatch.setattr(
             analysis, "neighbor_fraction_curve", lambda *args: np.array([0.9, 0.8, 0.7])
         )
         out = workdir / "an-fixed"
         rc = main(
             [
-                "analyze", str(workdir / "run"),
+                "analyze", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--k-max", "3", "--out-dir", str(out),
             ]
@@ -560,10 +592,10 @@ class TestAnalyzeCommand:
             ["--k-max", "240"],
         ],
     )
-    def test_bad_flag_is_usage_error(self, workdir, flags):
+    def test_bad_flag_is_usage_error(self, workdir, run_dir, flags):
         rc = main(
             [
-                "analyze", str(workdir / "run"),
+                "analyze", str(run_dir),
                 "--config", str(workdir / "small.ini"),
                 "--separations", "2", *flags,
                 "--out-dir", str(workdir / "an-bad"),

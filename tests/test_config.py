@@ -182,6 +182,10 @@ def test_ratio_lists(tmp_path, text, ratios):
         _with("eval", "episodes = 0"),
         _with("eval", "seeds = 0"),
         _with("eval", "n_query = 0"),
+        # seeds
+        _with("data", "split_seed = -1"),
+        _with("pretrain", "seed = -1"),
+        _with("eval", "base_seed = -1"),
     ],
 )
 def test_rejected_configs(tmp_path, text):

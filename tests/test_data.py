@@ -139,6 +139,11 @@ def test_column_schema_rejects_a_bad_kind_or_cardinality(kind, cardinality):
         ColumnSchema("c", kind, cardinality)
 
 
+def test_column_schema_rejects_a_name_that_is_not_a_string():
+    with pytest.raises(SchemaError, match="name must be a str"):
+        ColumnSchema(5, NUMERICAL)
+
+
 class TestSplit:
     def test_five_to_one_and_ten_percent(self):
         ds = make_gaussian_dataset(n_rows=600, d_raw=8, n_classes=4, seed=0)

@@ -370,6 +370,7 @@ class TestVariants:
         [
             {"max_epochs": 0},
             {"batch_size": 1},
+            {"patience": -1},
             {"hidden_dim": 0},
             {"embed_dim": 0},
             {"projector_dim": 0},
@@ -387,6 +388,25 @@ class TestVariants:
     def test_out_of_range_setting_rejected(self, change):
         with pytest.raises(ConfigError, match=next(iter(change))):
             PretrainConfig(**change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"embed_dim": 8.0},
+            {"hidden_dim": True},
+            {"max_epochs": 1.5},
+            {"patience": None},
+            {"conditioned": "no"},
+            {"temperature": "0.1"},
+        ],
+        ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
+    )
+    def test_value_of_another_type_rejected(self, change):
+        with pytest.raises(ConfigError, match=f"{next(iter(change))} must be"):
+            PretrainConfig(**change)
+
+    def test_float_setting_takes_an_int(self):
+        assert PretrainConfig(temperature=1, learning_rate=1).temperature == 1
 
     def test_smallest_settings_accepted(self):
         cfg = PretrainConfig(max_epochs=1, batch_size=2, patience=0, hidden_dim=1, embed_dim=1,
@@ -423,6 +443,52 @@ class TestVariants:
         assert stack.encoder[0].weight.dtype == np.float32
         report = pretrain(stack, x_train, x_valid, pp)
         assert np.isfinite(report.train_losses).all()
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(encoded_gauss, tmp_path_factory):
+    """A checkpoint of an untrained SMALL_CFG stack, in a directory of its own."""
+    pp, _, _ = encoded_gauss
+    path = tmp_path_factory.mktemp("saved") / "saved.ckpt"
+    save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
+    return path
+
+
+def _with_header_edit(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with ``edit`` applied to its JSON header in place."""
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + header_len :]
+
+
+def _value_paths(value, path=()):
+    """The key path of every value nested in a JSON ``value``; a list's elements
+    are alike, so only its first is visited."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:1])
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _value_paths(item, path + (key,))
+
+
+# Any JSON value; a third of the draws are near misses of a valid header's values.
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_JSON_VALUES = (
+    st.sampled_from([8.0, 1.5, True, -1, 0, 2**63, 10**400, "random", "categorical", "float32"])
+    | _JSON_SCALARS
+    | st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=5,
+    )
+)
 
 
 class TestCheckpoint:
@@ -623,23 +689,53 @@ class TestCheckpoint:
             (lambda h: h.update(seed="x"), "seed must be an int"),
             (lambda h: h["preprocessor"]["means"].pop(), "one value for each"),
             (lambda h: h["preprocessor"]["stds"].__setitem__(3, 0.0), "stds finite and > 0"),
+            (lambda h: h["config"].update(hidden_dim=8.0), "hidden_dim must be an int"),
+            (lambda h: h["config"].update(hidden_dim=True), "hidden_dim must be an int"),
+            (lambda h: h["config"].update(patience=None), "patience must be an int"),
+            (lambda h: h["config"].update(conditioned="x"), "conditioned must be a bool"),
+            (lambda h: h["config"].update(max_epochs=1.5), "max_epochs must be an int"),
+            (lambda h: h["preprocessor"]["schema"][0].update(name=5), "name must be a str"),
         ],
         ids=[
             "no-seed", "extra-key", "no-config-dtype", "negative-temperature",
             "unknown-dtype", "unknown-kind", "float-cardinality",
             "numerical-cardinality", "extra-column-key", "ratio-not-a-number",
             "ratio-out-of-range", "seed-not-an-int", "short-means", "zero-std",
+            "float-width", "bool-width", "null-patience", "string-conditioned",
+            "float-max-epochs", "int-column-name",
         ],
     )
-    def test_bad_header_rejected(self, encoded_gauss, tmp_path, edit, match):
-        pp, _, _ = encoded_gauss
+    def test_bad_header_rejected(self, saved_checkpoint, tmp_path, edit, match):
         path = tmp_path / "h.ckpt"
-        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG), pp)
-        blob = path.read_bytes()
-        (header_len,) = struct.unpack_from("<I", blob, 12)
-        header = json.loads(blob[16 : 16 + header_len])
-        edit(header)
-        text = json.dumps(header).encode()
-        path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + header_len :])
+        path.write_bytes(_with_header_edit(saved_checkpoint.read_bytes(), edit))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_edited_or_truncated_file_loads_or_is_rejected(self, saved_checkpoint, data):
+        """One header value replaced by any JSON value, or the file cut at any
+        offset: loading raises CheckpointError or gives a stack ``embed`` runs on."""
+        blob = saved_checkpoint.read_bytes()
+        cut = data.draw(st.none() | st.integers(0, len(blob) - 1))
+        if cut is not None:
+            blob = blob[:cut]
+        else:
+            (header_len,) = struct.unpack_from("<I", blob, 12)
+            paths = list(_value_paths(json.loads(blob[16 : 16 + header_len])))
+            *parents, last = data.draw(st.sampled_from(paths))
+            value = data.draw(_JSON_VALUES)
+
+            def edit(header):
+                for key in parents:
+                    header = header[key]
+                header[last] = value
+
+            blob = _with_header_edit(blob, edit)
+        path = saved_checkpoint.with_name("edited.ckpt")
+        path.write_bytes(blob)
+        try:
+            stack, pp = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert embed(stack, np.zeros((2, pp.encoded_dim))).shape == (2, stack.embed_dim)

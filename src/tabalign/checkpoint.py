@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ColumnSchema
-from .errors import CheckpointError, ConfigError, SchemaError
+from .errors import CheckpointError, ConfigError, SchemaError, check_seed
 from .nncore import DenseLayer
 from .preprocess import Preprocessor
 from .pretrain import RATIO_RANDOM, EncoderStack, PretrainConfig, layer_shapes, parse_ratio
@@ -108,9 +108,8 @@ def load_checkpoint(
         _check_keys("config", header["config"], _CONFIG_KEYS)
         _check_keys("preprocessor", header["preprocessor"], _PREPROCESSOR_KEYS)
         stored = PretrainConfig(**header["config"])
-        ratio, seed, fields = parse_ratio(header["ratio"]), header["seed"], header["preprocessor"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+        ratio, seed = parse_ratio(header["ratio"]), check_seed(header["seed"])
+        fields = header["preprocessor"]
         for entry in fields["schema"]:
             _check_keys("column", entry, _COLUMN_KEYS)
         schema = [ColumnSchema(**entry) for entry in fields["schema"]]

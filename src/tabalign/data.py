@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import EpisodeError, FormatError, ParseError, SchemaError, SplitError, check_fields
+from .errors import (
+    EpisodeError, FormatError, ParseError, SchemaError, SplitError, check_fields, check_seed,
+)
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
@@ -275,8 +277,9 @@ def split(ds: Dataset, seed: int) -> SplitIndices:
     Splitting is stratified by label when labels exist: each class sends
     floor(count / 6) rows to test so every class survives into the episode
     pool. Validation rows are drawn unstratified from the remaining pool.
-    Deterministic for a given seed.
+    Deterministic for a given seed; raises :class:`ConfigError` unless it is an int >= 0.
     """
+    check_seed(seed)
     n = ds.n_rows
     if n < 2 * TEST_DENOMINATOR:
         raise SplitError(f"dataset has {n} rows; need at least {2 * TEST_DENOMINATOR}")

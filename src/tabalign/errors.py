@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the rule a settings record's fields meet."""
+"""Exception types shared across the package, and the rules a seed and a settings record's
+fields meet."""
 
 import functools
 import types
@@ -71,6 +72,13 @@ class CheckpointError(TabAlignError):
 
 class ConfigError(TabAlignError):
     """Invalid run configuration."""
+
+
+def check_seed(seed, name: str = "seed") -> int:
+    """``seed`` if it is an int >= 0 that is not a bool; raises :class:`ConfigError` otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{name} must be an int >= 0, got {seed!r}")
+    return seed
 
 
 @functools.cache

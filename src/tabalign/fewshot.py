@@ -206,7 +206,12 @@ def _cross_entropy(
     """
     n = logits.shape[1]
     d = logits
-    d -= d.max(axis=-1, keepdims=True)
+    # The row max as elementwise maxima over the few class columns, which is
+    # cheaper than a reduction along the short last axis.
+    row_max = np.maximum(d[..., 0], d[..., -1])
+    for c in range(1, d.shape[-1] - 1):
+        np.maximum(row_max, d[..., c], out=row_max)
+    d -= row_max[..., None]
     np.exp(d, out=d)
     d /= d.sum(axis=-1, keepdims=True)
     loss = -np.log(np.take(d, picks) + 1e-300).sum(axis=1) / n

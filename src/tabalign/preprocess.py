@@ -149,17 +149,24 @@ def expand_mask(pp: Preprocessor, raw_mask: np.ndarray) -> np.ndarray:
     return np.repeat(np.asarray(raw_mask, dtype=np.float64), widths)
 
 
-def make_views(x: np.ndarray, mask: SeparationMask) -> tuple[np.ndarray, np.ndarray]:
+def make_views(
+    x: np.ndarray,
+    mask: SeparationMask,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Split encoded rows into complementary feature and target views.
 
     Masked-out coordinates are exactly zero in each view, so the views sum
-    back to the input. Accepts a single row or a batch.
+    back to the input. Accepts a single row or a batch. The views are
+    written into the float64 pair ``out`` when given.
     """
     x = np.asarray(x)
     m = mask.encoded_mask
     if x.shape[-1] != m.shape[0]:
         raise ViewError(f"input width {x.shape[-1]} != encoded dim {m.shape[0]}")
-    return x * (1.0 - m), x * m
+    x_f, x_t = (None, None) if out is None else out
+    return np.multiply(x, 1.0 - m, out=x_f), np.multiply(x, m, out=x_t)
 
 
 def make_views_marginal(
@@ -167,13 +174,15 @@ def make_views_marginal(
     mask: SeparationMask,
     pp: Preprocessor,
     rng: np.random.Generator,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """View construction with marginal imputation of the feature view.
 
     Target-view coordinates of the feature view are filled per row by
     sampling that raw column's empirical training distribution instead of
     zeros. The target view itself stays zero-filled so nearest-neighbor
-    distances remain pure subspace distances.
+    distances remain pure subspace distances. ``out`` is as in :func:`make_views`.
     """
     if pp.marginals is None:
         raise ViewError(
@@ -181,8 +190,7 @@ def make_views_marginal(
             "loaded from a checkpoint does not keep"
         )
     x = np.atleast_2d(np.asarray(x))
-    x_f, x_t = make_views(x, mask)
-    x_f = x_f.copy()
+    x_f, x_t = make_views(x, mask, out=out)
     n = x_f.shape[0]
     for j in np.flatnonzero(mask.raw_mask):
         start, stop = pp.ranges[j]

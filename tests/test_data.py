@@ -15,7 +15,9 @@ from tabalign.data import (
     sample_episode,
     split,
 )
-from tabalign.errors import EpisodeError, FormatError, ParseError, SchemaError, SplitError
+from tabalign.errors import (
+    ConfigError, EpisodeError, FormatError, ParseError, SchemaError, SplitError,
+)
 from tabalign.synthetic import make_gaussian_dataset, write_dataset_files
 
 
@@ -156,6 +158,11 @@ class TestSplit:
         ds = make_gaussian_dataset(n_rows=6000, d_raw=8, n_classes=4, seed=0)
         idx = split(ds, seed=1)
         assert len(idx.test) == 1000
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_that_is_not_an_int_at_least_zero_rejected(self, gauss_ds, seed):
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            split(gauss_ds, seed=seed)
 
     def test_deterministic_per_seed(self, gauss_ds):
         a = split(gauss_ds, seed=11)

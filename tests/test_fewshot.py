@@ -280,6 +280,28 @@ class TestLinearProbe:
         assert loss.tobytes() == expected_loss.tobytes()
         assert grad.tobytes() == d.tobytes()
 
+    @pytest.mark.parametrize("n_way", [2, 3, 4, 5])
+    def test_cross_entropy_row_max_matches_the_reduction(self, n_way):
+        """The row max taken column by column gives the bits of ``max(axis=-1)``,
+        also on tied logits, signed zeros, +-1e300 and a -inf column."""
+        rng = np.random.default_rng(n_way)
+        logits = rng.normal(scale=5.0, size=(3, 12, n_way))
+        logits[0, :4] = 1.5
+        logits[0, 4:8] = rng.choice([0.0, -0.0], size=(4, n_way))
+        logits[1, :, 0] = -np.inf
+        logits[2, :6] = rng.choice([1e300, -1e300], size=(6, n_way))
+        picks, onehot = _label_constants(rng.integers(n_way, size=(3, 12)), n_way)
+        d = logits.copy()
+        d -= d.max(axis=-1, keepdims=True)
+        np.exp(d, out=d)
+        d /= d.sum(axis=-1, keepdims=True)
+        expected_loss = -np.log(np.take(d, picks) + 1e-300).sum(axis=1) / 12
+        d -= onehot
+        d /= 12
+        loss, grad = _cross_entropy(logits.copy(), picks, onehot)
+        assert loss.tobytes() == expected_loss.tobytes()
+        assert grad.tobytes() == d.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("width", [32, PretrainConfig().embed_dim])
     def test_stacked_fit_matches_solo_fits(self, dtype, width, monkeypatch):

@@ -17,10 +17,13 @@ from tabalign.nncore import (
     AdamState,
     DenseLayer,
     adam_step,
+    carve,
     infonce_loss,
+    infonce_work,
     init_layer,
     mlp_backward,
     mlp_forward,
+    work_bytes,
 )
 
 from conftest import central_diff_grads, max_rel_error
@@ -232,6 +235,30 @@ class TestMlpForward:
         assert cache[1][1] is out
         assert np.all(cache[0][1] >= 0.0)
 
+    def test_caller_buffers_give_the_same_bits(self):
+        """With ``out`` and ``work`` both passes write into the caller's buffers
+        and give the bits they give without them."""
+        rng = np.random.default_rng(7)
+        layers = _random_net(rng, dims=(6, 9, 4))
+        x = rng.normal(size=(11, 6))
+        d_out = rng.normal(size=(11, 4))
+        ref_out, ref_cache = mlp_forward(layers, x)
+        ref_grads = _grads_for(layers)
+        ref_d_x = mlp_backward(layers, ref_cache, d_out, ref_grads)
+
+        acts = [np.full((11, 9), np.nan), np.full((11, 4), np.nan)]
+        out, cache = mlp_forward(layers, x, out=acts)
+        assert out is acts[1] and cache[0][1] is acts[0]
+        deltas = [np.full((11, 6), np.nan), np.full((11, 9), np.nan)]
+        work = np.zeros(work_bytes([((11, 9), np.bool_)]), np.uint8)
+        grads = _grads_for(layers)
+        d_x = mlp_backward(layers, cache, d_out, grads, out=deltas, work=work)
+        assert d_x is deltas[0]
+        assert out.tobytes() == ref_out.tobytes()
+        assert cache[0][1].tobytes() == ref_cache[0][1].tobytes()
+        assert d_x.tobytes() == ref_d_x.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
     def test_peak_memory_is_outputs_and_cache(self):
         """32 -> 1024 -> 256 on 1024 rows allocates the hidden activation and the
         output, and no pre-activation copy beside them."""
@@ -293,6 +320,29 @@ class TestInfoNCE:
         assert d_z.dtype == np.float64
         assert d_z.tobytes() == ref_d_z.tobytes()
         assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("b", [3, 300])
+    def test_caller_buffers_give_the_same_bits(self, b, dtype):
+        """``out`` receives the gradient and ``work`` the temporaries, for a batch
+        narrower (3) and wider (300) than the embedding."""
+        rng = np.random.default_rng(b)
+        z = rng.normal(size=(b, 48)).astype(dtype)
+        z[1] = 0.0
+        pos = (np.arange(b) + 1) % b
+        before = z.copy()
+        ref_loss, ref_d_z = infonce_loss(z, pos, temperature=0.1)
+        out = np.full((b, 48), np.nan)
+        work = np.full(work_bytes(infonce_work(b, 48)), 255, np.uint8)
+        loss, d_z = infonce_loss(z, pos, temperature=0.1, out=out, work=work)
+        assert d_z is out
+        assert loss == ref_loss
+        assert d_z.tobytes() == ref_d_z.tobytes()
+        assert z.tobytes() == before.tobytes()
+
+    def test_short_work_buffer_rejected(self):
+        with pytest.raises(ValueError, match="short"):
+            carve(np.empty(63, np.uint8), [((2, 4), np.float64)])
 
     def test_peak_memory_is_one_square_buffer_and_its_transpose(self):
         b = 512
@@ -389,6 +439,34 @@ class TestAdam:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
         assert state.t == ref_state.t == 20
+
+    @pytest.mark.parametrize("dtype,big", [(np.float64, 1e308), (np.float32, 3e38)])
+    def test_finite_gradient_whose_sum_overflows_steps(self, dtype, big):
+        theta = np.zeros(2, dtype=dtype)
+        state = AdamState.for_params([theta], lr=0.01)
+        state.grads[0][...] = big
+        with np.errstate(over="ignore"):
+            adam_step([theta], state)
+        assert state.t == 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf]]
+    )
+    def test_each_nonfinite_gradient_raises(self, bad, dtype):
+        theta = np.zeros(2, dtype=dtype)
+        state = AdamState.for_params([theta], lr=0.01)
+        state.grads[0][...] = bad
+        with pytest.raises(OptimizerError, match="non-finite"):
+            adam_step([theta], state)
+        assert state.t == 0
+
+    def test_scratch_holds_two_rows_per_dtype_of_the_largest_tensor(self):
+        params = [np.zeros((3, 4)), np.zeros(5), np.zeros(7, dtype=np.float32)]
+        state = AdamState.for_params(params, lr=0.01)
+        assert {dtype: rows.shape for dtype, rows in state.scratch.items()} == {
+            np.dtype(np.float64): (2, 12), np.dtype(np.float32): (2, 7),
+        }
 
     def test_nonfinite_gradient_fails_fast(self):
         theta = np.array([1.0])

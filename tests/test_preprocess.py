@@ -201,6 +201,16 @@ class TestMakeViews:
             np.testing.assert_allclose(x_f + x_t, x)
             np.testing.assert_allclose(x_f * x_t, 0.0)
 
+    def test_out_pair_gives_the_same_bits(self):
+        rng = np.random.default_rng(6)
+        m = (rng.random(7) < 0.5).astype(np.float64)
+        mask = SeparationMask(raw_mask=m.astype(np.uint8), encoded_mask=m)
+        x = rng.normal(size=(5, 7)).astype(np.float32)
+        out = (np.full((5, 7), np.nan), np.full((5, 7), np.nan))
+        got = make_views(x, mask, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in make_views(x, mask)]
+
     def test_dimension_mismatch(self):
         mask = SeparationMask(
             raw_mask=np.array([1, 0], dtype=np.uint8),

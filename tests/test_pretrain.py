@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import importlib
 import json
 import struct
@@ -19,15 +20,17 @@ from tabalign.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tabalign.data import split
 from tabalign.errors import CheckpointError, ConfigError, TrainingError
 from tabalign.fewshot import embed
-from tabalign.nncore import AdamState
+from tabalign.nncore import AdamState, work_bytes
 from tabalign.preprocess import encode, fit
 from tabalign.pretrain import (
     RATIO_RANDOM,
     PretrainConfig,
+    Workspace,
     init_stack,
     member_seed,
     nearest_neighbor_indices,
     nearest_neighbors,
+    nearest_neighbors_work,
     pretrain,
     pretrain_ensemble,
     train_step,
@@ -128,7 +131,10 @@ class TestNearestNeighbors:
         block_rows = data.draw(st.integers(1, n_queries - 1))
         with mock.patch.object(pretrain_mod, "_BLOCK_ELEMENTS", block_rows * n):
             got = nearest_neighbors(points, k, queries)
+            work = np.empty(work_bytes(nearest_neighbors_work(n_queries, n, d, dtype)), np.uint8)
+            in_work = nearest_neighbors(points, k, queries, work=work)
         np.testing.assert_array_equal(got, _oracle(points, k, queries))
+        np.testing.assert_array_equal(in_work, got)
 
     def test_k_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +170,47 @@ class TestTrainStep:
         assert losses[0] == losses[1]
         for a, b in zip(params[0], params[1]):
             assert a.tobytes() == b.tobytes()
+
+    def test_desk_step_allocates_under_one_mib(self):
+        """With the run's workspace and Adam state, a desk-shape step (B=1024,
+        32 columns, float64) writes into buffers it was given."""
+        ds = make_gaussian_dataset(n_rows=2000, d_raw=32, n_classes=4, separation=6.0, seed=0)
+        idx = split(ds, seed=0)
+        pp = fit(ds, idx.train)
+        x = encode(pp, ds, idx.train)[:1024]
+        stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=PretrainConfig(batch_size=1024))
+        adam, work, rng = _adam(stack), Workspace.for_stack(stack, 1024), np.random.default_rng(0)
+        train_step(stack, x, pp, rng, adam, work=work)
+        tracemalloc.start()
+        try:
+            train_step(stack, x, pp, rng, adam, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_desk_workspace_is_within_the_one_step_peak_it_replaces(self):
+        """Buffers that are never live at once share memory, so the desk-shape
+        workspace (40.5 MiB) stays within the 41.1 MiB that one step allocated
+        before it had a workspace."""
+        stack = init_stack(32, 0.2, seed=0, cfg=PretrainConfig(batch_size=1024))
+        work = Workspace.for_stack(stack, 1024)
+        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+        regions = {id(r): r for r in (a if a.base is None else a.base for a in arrays)}
+        assert len(regions) == 3
+        assert sum(r.nbytes for r in regions.values()) <= 41.1 * 2**20
+
+    def test_workspace_and_fresh_buffers_give_the_same_bits(self, encoded_gauss):
+        """Steps on a workspace sized for a larger batch (so every buffer is a
+        leading-row view) give the bits of steps that allocate."""
+        pp, x_train, _ = encoded_gauss
+        results = []
+        for work in (None, Workspace.for_stack(init_stack(pp.encoded_dim, 0.3, 5, SMALL_CFG), 64)):
+            stack = init_stack(pp.encoded_dim, 0.3, seed=5, cfg=SMALL_CFG)
+            rng, adam = np.random.default_rng(5), _adam(stack)
+            losses = [train_step(stack, x_train[:n], pp, rng, adam, work=work) for n in (40, 2, 64)]
+            results.append((losses, b"".join(p.tobytes() for p in stack.parameters())))
+        assert results[0] == results[1]
 
     def test_loss_decreases_over_steps(self, encoded_gauss):
         """200 steps on clustered data end below the first-step loss."""
@@ -341,6 +388,14 @@ class TestEnsemble:
         for keys in ((1, 1), (0, 3, 7, 1)):
             ss = np.random.SeedSequence(list(keys))
             assert member_seed(*keys) == int(ss.generate_state(1, dtype=np.uint64)[0])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_that_is_not_an_int_at_least_zero_rejected(self, encoded_gauss, seed):
+        pp, x_train, x_valid = encoded_gauss
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            init_stack(pp.encoded_dim, 0.2, seed=seed, cfg=SMALL_CFG)
+        with pytest.raises(ConfigError, match="master_seed must be an int >= 0"):
+            pretrain_ensemble(x_train, x_valid, pp, [0.2], SMALL_CFG, master_seed=seed)
 
     def test_empty_ratio_list_rejected(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
@@ -739,3 +794,50 @@ class TestCheckpoint:
         except CheckpointError:
             return
         assert embed(stack, np.zeros((2, pp.encoded_dim))).shape == (2, stack.embed_dim)
+
+
+# sha256 of the members' checkpoint bytes and of their loss curves (float64
+# bytes) from three small ensembles. Every matrix product stays below
+# OpenBLAS's threading threshold, so the bytes do not depend on the BLAS
+# thread count. Each run leaves a short last batch in one pass and a skipped
+# 1-row batch in the other.
+PINNED_RUNS = {
+    "float64-zero": (
+        dict(dtype="float64", imputation="zero"), [0.25, 0.5], 65, 45,
+        "222f57057f74559c4b326f03116c1c955deae15c68b7f57c34173444c3c9a153",
+        "9b0ba5f4fb1be977f50244faaff1467db1ae10abe78da3acf4b9fdcd650ebc9a",
+    ),
+    "float32-marginal-random": (
+        dict(dtype="float32", imputation="marginal"), [RATIO_RANDOM, 0.3], 77, 33,
+        "78dd3ff4799e8cc1e5b5f21179071e8ed3a05fbb811352c200dbe8ceeca2925b",
+        "670884c2c9505921c3b46af69676e58317060455c8417edef292df9968ec9b93",
+    ),
+    "unconditioned": (
+        dict(conditioned=False), [0.4], 65, 45,
+        "485afaf1ef254239a6cc6ab8f2b3555fb14d65fe6df9a6888c1510b90c16b602",
+        "178408943ec27c76e8113fda18ce60fb47f0de96e28b059b93fa7a7a9305a714",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_pinned_output_bytes(run, tmp_path):
+    change, ratios, n_train, n_valid, ckpt_digest, loss_digest = PINNED_RUNS[run]
+    ds = make_gaussian_dataset(
+        n_rows=600, d_raw=8, n_classes=4, separation=6.0, seed=7, n_categorical=2, cardinality=3
+    )
+    idx = split(ds, seed=1)
+    pp = fit(ds, idx.train)
+    x_train = encode(pp, ds, idx.train)[:n_train]
+    x_valid = encode(pp, ds, idx.valid)[:n_valid]
+    cfg = PretrainConfig(
+        max_epochs=4, batch_size=32, patience=2, hidden_dim=16, embed_dim=8, projector_dim=8,
+        **change,
+    )
+    stacks, reports = pretrain_ensemble(x_train, x_valid, pp, ratios, cfg, master_seed=9)
+    ckpt, losses = hashlib.sha256(), hashlib.sha256()
+    for k, (stack, report) in enumerate(zip(stacks, reports)):
+        save_checkpoint(tmp_path / f"{k}.ckpt", stack, pp)
+        ckpt.update((tmp_path / f"{k}.ckpt").read_bytes())
+        losses.update(np.array(report.train_losses + report.valid_losses).tobytes())
+    assert (ckpt.hexdigest(), losses.hexdigest()) == (ckpt_digest, loss_digest)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,11 @@ CATEGORICAL = "categorical"
 # of the remaining pool becomes the validation set.
 TEST_DENOMINATOR = 6
 VALID_FRACTION = 0.10
+# Rows load_csv reads and parses per block: big enough that the per-column work
+# dominates, small enough that a block's cell strings stay a small share of memory.
+_BLOCK_ROWS = 512
+# Kind of the label column among load_csv's fields.
+_LABEL = "label"
 
 
 def _round_half_up(x: float) -> int:
@@ -135,8 +141,10 @@ def load_schema_file(path: str | Path) -> tuple[list[tuple[str, str]], str | Non
         (feature (name, kind) pairs in file order, label column name or None).
     """
     path = Path(path)
+    # libyaml's parser when PyYAML was built with it: the same mapping, about 7x faster.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict) or "columns" not in raw:
@@ -176,12 +184,16 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
     """Load a headered CSV under an explicit column schema.
 
     Category strings and label values are mapped to dense indices in
-    first-appearance order, which makes loading deterministic.
+    first-appearance order, which makes loading deterministic. A leading
+    UTF-8 byte-order mark is skipped. Rows are read ``_BLOCK_ROWS`` at a time
+    and parsed a column at a time; the error raised is the one for the first
+    bad cell in row order (schema column order within a row, the label
+    last), or for the first row with the wrong number of cells before it.
     """
     data_path = Path(data_path)
     features, label_name = load_schema_file(schema_path)
 
-    with data_path.open("r", encoding="utf-8", newline="") as handle:
+    with data_path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -200,75 +212,127 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
                 f"{data_path}: header does not match schema "
                 f"(missing={missing}, unknown={extra}, repeated={repeated})"
             )
-        col_pos = {name: header.index(name) for name in expected}
 
-        kinds = dict(features)
-        vocab: dict[str, dict[str, int]] = {
-            name: {} for name, kind in features if kind == CATEGORICAL
-        }
-        label_vocab: dict[str, int] = {}
-        cells: list[list[float]] = []
-        label_cells: list[int] = []
-
-        for row_no, row in enumerate(reader):
-            if len(row) != len(header):
+        # (name, kind, header position, levels) per column in parse order, the label last.
+        fields = [(name, kind, header.index(name), {} if kind == CATEGORICAL else None)
+                  for name, kind in features]
+        if label_name is not None:
+            fields.append((label_name, _LABEL, header.index(label_name), {}))
+        row_blocks: list[np.ndarray] = []
+        label_blocks: list[np.ndarray] = []
+        first_row = 2  # file row number of the block's first row; the header is row 1
+        while True:
+            block, failure = _read_block(reader)
+            short = next((i for i, row in enumerate(block) if len(row) != len(header)), None)
+            whole = block[:short]
+            if whole:
+                columns = _parse_columns(whole, fields)
+                if columns is None:
+                    raise _first_bad_cell(data_path, whole, first_row, fields)
+                row_blocks.append(np.column_stack(columns[: len(features)]))
+                if label_name is not None:
+                    label_blocks.append(columns[-1])
+            if short is not None:
                 raise FormatError(
-                    f"{data_path}: row {row_no + 2} has {len(row)} cells, "
+                    f"{data_path}: row {first_row + short} has {len(block[short])} cells, "
                     f"expected {len(header)}"
                 )
-            parsed: list[float] = []
-            for name, _ in features:
-                text = row[col_pos[name]].strip()
-                if not text:
-                    raise ParseError(
-                        f"{data_path}: empty cell at row {row_no + 2}, column {name!r}"
-                    )
-                if kinds[name] == NUMERICAL:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise ParseError(
-                            f"{data_path}: non-numeric value {text!r} at "
-                            f"row {row_no + 2}, column {name!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"{data_path}: non-finite value {text!r} at "
-                            f"row {row_no + 2}, column {name!r}"
-                        )
-                    parsed.append(value)
-                else:
-                    levels = vocab[name]
-                    if text not in levels:
-                        levels[text] = len(levels)
-                    parsed.append(float(levels[text]))
-            if label_name is not None:
-                text = row[col_pos[label_name]].strip()
-                if not text:
-                    raise ParseError(
-                        f"{data_path}: empty label at row {row_no + 2}"
-                    )
-                if text not in label_vocab:
-                    label_vocab[text] = len(label_vocab)
-                label_cells.append(label_vocab[text])
-            cells.append(parsed)
+            if failure is not None:
+                raise failure
+            if len(block) < _BLOCK_ROWS:
+                break
+            first_row += len(block)
 
-    if not cells:
+    if not row_blocks:
         raise FormatError(f"{data_path}: no data rows")
 
+    vocab = {name: levels for name, kind, _, levels in fields if kind == CATEGORICAL}
+    label_vocab = fields[-1][3] if label_name is not None else {}
     schema = [ColumnSchema(name, kind, len(vocab[name]) if name in vocab else None)
               for name, kind in features]
-    labels = np.asarray(label_cells, dtype=np.int64) if label_name is not None else None
     ds = Dataset(
         schema=schema,
-        rows=np.asarray(cells, dtype=np.float64),
-        labels=labels,
-        n_classes=len(label_vocab) if label_name is not None else 0,
+        rows=np.concatenate(row_blocks),
+        labels=np.concatenate(label_blocks) if label_name is not None else None,
+        n_classes=len(label_vocab),
         name=data_path.stem,
-        class_names=sorted(label_vocab, key=label_vocab.get),
+        class_names=list(label_vocab),
     )
     ds.validate()
     return ds
+
+
+def _read_block(reader) -> tuple[list[list[str]], Exception | None]:
+    """Up to ``_BLOCK_ROWS`` rows, and the error that stopped the reading early, if any.
+
+    The rows read before a decoding or CSV error are returned with it, so that
+    a bad cell among them is still reported first, as a row-by-row reader would.
+    """
+    block: list[list[str]] = []
+    try:
+        for row in itertools.islice(reader, _BLOCK_ROWS):
+            block.append(row)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return block, exc
+    return block, None
+
+
+def _parse_columns(rows: list[list[str]], fields: list[tuple]) -> list[np.ndarray] | None:
+    """Each field's column of ``rows``: float64 values or level indices for a
+    feature, int64 indices for the label. None when any cell is bad.
+
+    New levels are added to each field's dict in first-appearance order.
+    """
+    cells_by_position = list(zip(*rows))
+    columns = []
+    for _, kind, position, levels in fields:
+        cells = list(map(str.strip, cells_by_position[position]))
+        if not all(cells):
+            return None
+        if kind == NUMERICAL:
+            try:
+                values = np.fromiter(map(float, cells), np.float64, len(cells))
+            except ValueError:
+                return None
+            if not np.isfinite(values).all():
+                return None
+        else:
+            for text in dict.fromkeys(cells):
+                levels.setdefault(text, len(levels))
+            dtype = np.int64 if kind == _LABEL else np.float64
+            values = np.fromiter(map(levels.__getitem__, cells), dtype, len(cells))
+        columns.append(values)
+    return columns
+
+
+def _first_bad_cell(
+    data_path: Path, rows: list[list[str]], first_row: int, fields: list[tuple]
+) -> ParseError:
+    """The error for the first bad cell of ``rows`` in row order, then field order."""
+    for row_no, row in enumerate(rows, start=first_row):
+        for name, kind, position, _ in fields:
+            text = row[position].strip()
+            if not text:
+                if kind == _LABEL:
+                    return ParseError(f"{data_path}: empty label at row {row_no}")
+                return ParseError(
+                    f"{data_path}: empty cell at row {row_no}, column {name!r}"
+                )
+            if kind != NUMERICAL:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                return ParseError(
+                    f"{data_path}: non-numeric value {text!r} at "
+                    f"row {row_no}, column {name!r}"
+                )
+            if not math.isfinite(value):
+                return ParseError(
+                    f"{data_path}: non-finite value {text!r} at "
+                    f"row {row_no}, column {name!r}"
+                )
+    raise AssertionError("no bad cell in a block that failed to parse")
 
 
 def split(ds: Dataset, seed: int) -> SplitIndices:

@@ -288,7 +288,7 @@ def _fit_probe(
         np.sum(d_logits, axis=1, out=grad_b)
         if encoder is not None:
             d_h = (d_logits[0] @ w[0]).astype(x.dtype, copy=False)
-            mlp_backward(encoder, cache, d_h, state.grads[1:])
+            mlp_backward(encoder, cache, d_h, state.grads[1:], input_cols=0)
         adam_step(params, state)
         steady = [
             count + 1 if abs(before - after) < PROBE_TOL else 0

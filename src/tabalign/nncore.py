@@ -80,8 +80,8 @@ def init_layer(
 ) -> DenseLayer:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization."""
     bound = 1.0 / math.sqrt(fan_in)
-    weight = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
-    bias = rng.uniform(-bound, bound, size=fan_out).astype(dtype)
+    weight = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype, copy=False)
+    bias = rng.uniform(-bound, bound, size=fan_out).astype(dtype, copy=False)
     return DenseLayer(weight=weight, bias=bias)
 
 
@@ -121,15 +121,18 @@ def mlp_backward(
     d_out: np.ndarray,
     grads: list[np.ndarray],
     *,
-    out: list[np.ndarray] | None = None,
+    input_cols: int | None = None,
+    out: list[np.ndarray | None] | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backpropagate, writing layer i's gradients into ``grads[2 * i]`` and ``grads[2 * i + 1]``.
 
-    Returns the gradient with respect to the network input; ``d_out`` is
-    only read. The gradient with respect to layer i's input goes into
-    ``out[i]`` when given, and the ReLU masks are carved from ``work``; no
-    ``out[i]`` may share memory with ``out[i + 1]`` or ``d_out``.
+    Returns the gradient with respect to the first ``input_cols`` columns of
+    the network input (all of them when None, an empty array when 0); the
+    other columns are not computed. ``d_out`` is only read. The gradient with
+    respect to layer i's input goes into ``out[i]`` when that is given, and
+    the ReLU masks are carved from ``work``; no ``out[i]`` may share memory
+    with ``out[i + 1]`` or ``d_out``.
     """
     d_z = np.asarray(d_out)
     d_in = d_z
@@ -137,7 +140,8 @@ def mlp_backward(
         h_in, _ = cache[i]
         np.matmul(d_z.T, h_in, out=grads[2 * i])
         np.sum(d_z, axis=0, out=grads[2 * i + 1])
-        d_in = np.matmul(d_z, layers[i].weight, out=None if out is None else out[i])
+        weight = layers[i].weight if i > 0 else layers[i].weight[:, :input_cols]
+        d_in = np.matmul(d_z, weight, out=None if out is None else out[i])
         if i > 0:
             act = cache[i - 1][1]
             (active,) = carve(work, [(act.shape, np.bool_)])
@@ -158,9 +162,10 @@ def infonce_loss(
     pos_index: np.ndarray,
     temperature: float = 0.1,
     *,
+    grad: bool = True,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray | None]:
     """Contrastive alignment loss over a batch of projected embeddings.
 
     Per row i the loss is
@@ -168,7 +173,8 @@ def infonce_loss(
     with s = cosine similarity; the denominator runs over all other batch
     rows including the positive. Returns the mean loss and the exact
     analytic float64 gradient with respect to ``z``, written into ``out``
-    when given. The temporaries are carved from ``work`` as
+    when given; with ``grad=False`` the gradient is not computed and None
+    comes back in its place. The temporaries are carved from ``work`` as
     :func:`infonce_work` lays them out; ``z`` is only read.
     """
     z = np.asarray(z)
@@ -210,6 +216,8 @@ def infonce_loss(
     denom = buf.sum(axis=1)
     losses = -(pos_logits - row_max) + np.log(denom)
     loss = float(losses.mean())
+    if not grad:
+        return loss, None
 
     buf /= denom[:, None]
     buf /= temperature * b

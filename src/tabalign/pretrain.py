@@ -264,7 +264,6 @@ class Workspace:
     z: np.ndarray
     d_z: np.ndarray
     d_z_in: np.ndarray
-    d_x: np.ndarray
     d_proj_in: np.ndarray
     d_hidden: np.ndarray
     masks: np.ndarray
@@ -293,7 +292,7 @@ class Workspace:
             live.update(embed)
         masks = work_bytes([((rows, hidden), np.bool_)])
         backward = {"d_hidden": ((rows, hidden), dtype), "d_proj_in": ((rows, p_in), dtype),
-                    "d_x": ((rows, d), dtype), "masks": ((masks,), np.uint8)}
+                    "masks": ((masks,), np.uint8)}
         kernels = [nearest_neighbors_work(rows, rows, d, f64), infonce_work(rows, p_out)]
         arrays: dict[str, np.ndarray] = {}
 
@@ -369,18 +368,21 @@ def composite_loss(
     else:
         proj_in = h
     z, proj_cache = mlp_forward(stack.projector, proj_in, out=[work.proj_hidden[:n], work.z[:n]])
-    loss, d_z = infonce_loss(z, pos, stack.cfg.temperature, out=work.d_z[:n], work=work.scratch)
+    loss, d_z = infonce_loss(
+        z, pos, stack.cfg.temperature, grad=grads is not None, out=work.d_z[:n], work=work.scratch
+    )
     if grads is not None:
-        k = 2 * len(stack.encoder)
+        # Only the embedding columns of the projector's input gradient reach
+        # the encoder, and nothing reads the encoder's input gradient.
+        k, e = 2 * len(stack.encoder), stack.embed_dim
         d_z = _cast(d_z, dtype, work.d_z_in[:n])
-        d_proj_in = mlp_backward(
-            stack.projector, proj_cache, d_z, grads[k:],
-            out=[work.d_proj_in[:n], work.d_hidden[:n]], work=work.masks,
+        d_h = mlp_backward(
+            stack.projector, proj_cache, d_z, grads[k:], input_cols=e,
+            out=[work.d_proj_in[:n, :e], work.d_hidden[:n]], work=work.masks,
         )
-        d_h = d_proj_in[:, : stack.embed_dim] if stack.conditioned else d_proj_in
         mlp_backward(
-            stack.encoder, enc_cache, d_h, grads[:k],
-            out=[work.d_x[:n], work.d_hidden[:n]], work=work.masks,
+            stack.encoder, enc_cache, d_h, grads[:k], input_cols=0,
+            out=[None, work.d_hidden[:n]], work=work.masks,
         )
     return loss
 

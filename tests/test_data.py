@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabalign import data
 from tabalign.data import (
     CATEGORICAL,
     NUMERICAL,
@@ -34,6 +43,119 @@ columns:
   - name: cat
     kind: categorical
 """
+SCHEMA_NUM_LABEL = "columns:\n  - name: num\n    kind: numerical\n  - name: y\n    label: true\n"
+SCHEMA_TWO_LABELS = (
+    "columns:\n"
+    "  - name: a\n    label: true\n"
+    "  - name: b\n    label: true\n"
+    "  - name: num\n    kind: numerical\n"
+)
+
+
+def _reference_load_csv(data_path, schema_path) -> Dataset:
+    """The row-by-row loader ``load_csv`` replaced: each cell is stripped,
+    parsed and checked on its own, in row order."""
+    data_path = Path(data_path)
+    features, label_name = load_schema_file(schema_path)
+
+    with data_path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{data_path}: empty file") from None
+
+        expected = [name for name, _ in features]
+        if label_name is not None:
+            expected.append(label_name)
+        if sorted(header) != sorted(expected):
+            missing = sorted(set(expected) - set(header))
+            extra = sorted(set(header) - set(expected))
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            raise SchemaError(
+                f"{data_path}: header does not match schema "
+                f"(missing={missing}, unknown={extra}, repeated={repeated})"
+            )
+        col_pos = {name: header.index(name) for name in expected}
+
+        kinds = dict(features)
+        vocab: dict[str, dict[str, int]] = {
+            name: {} for name, kind in features if kind == CATEGORICAL
+        }
+        label_vocab: dict[str, int] = {}
+        cells: list[list[float]] = []
+        label_cells: list[int] = []
+
+        for row_no, row in enumerate(reader):
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{data_path}: row {row_no + 2} has {len(row)} cells, "
+                    f"expected {len(header)}"
+                )
+            parsed: list[float] = []
+            for name, _ in features:
+                text = row[col_pos[name]].strip()
+                if not text:
+                    raise ParseError(
+                        f"{data_path}: empty cell at row {row_no + 2}, column {name!r}"
+                    )
+                if kinds[name] == NUMERICAL:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ParseError(
+                            f"{data_path}: non-numeric value {text!r} at "
+                            f"row {row_no + 2}, column {name!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"{data_path}: non-finite value {text!r} at "
+                            f"row {row_no + 2}, column {name!r}"
+                        )
+                    parsed.append(value)
+                else:
+                    levels = vocab[name]
+                    if text not in levels:
+                        levels[text] = len(levels)
+                    parsed.append(float(levels[text]))
+            if label_name is not None:
+                text = row[col_pos[label_name]].strip()
+                if not text:
+                    raise ParseError(f"{data_path}: empty label at row {row_no + 2}")
+                if text not in label_vocab:
+                    label_vocab[text] = len(label_vocab)
+                label_cells.append(label_vocab[text])
+            cells.append(parsed)
+
+    if not cells:
+        raise FormatError(f"{data_path}: no data rows")
+
+    schema = [ColumnSchema(name, kind, len(vocab[name]) if name in vocab else None)
+              for name, kind in features]
+    labels = np.asarray(label_cells, dtype=np.int64) if label_name is not None else None
+    ds = Dataset(
+        schema=schema,
+        rows=np.asarray(cells, dtype=np.float64),
+        labels=labels,
+        n_classes=len(label_vocab) if label_name is not None else 0,
+        name=data_path.stem,
+        class_names=sorted(label_vocab, key=label_vocab.get),
+    )
+    ds.validate()
+    return ds
+
+
+def _outcome(loader, data_path, schema_path) -> tuple:
+    """What ``loader`` gives: the dataset's bytes and fields, or the error's type and message."""
+    try:
+        ds = loader(data_path, schema_path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome compared
+        return type(exc), str(exc)
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
+    return (
+        ds.rows.dtype, ds.rows.shape, ds.rows.tobytes(), labels,
+        ds.schema, ds.n_classes, ds.class_names, ds.name,
+    )
 
 
 class TestLoadCsv:
@@ -46,11 +168,7 @@ class TestLoadCsv:
 
     def test_label_column(self, tmp_path):
         data = _write(tmp_path, "d.csv", "num,y\n1,pos\n2,neg\n3,pos\n")
-        schema = _write(
-            tmp_path,
-            "d.yaml",
-            "columns:\n  - name: num\n    kind: numerical\n  - name: y\n    label: true\n",
-        )
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_LABEL)
         ds = load_csv(data, schema)
         assert ds.n_classes == 2
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
@@ -100,14 +218,7 @@ class TestLoadCsv:
             load_csv(data, schema)
 
     def test_two_label_columns_rejected(self, tmp_path):
-        schema = _write(
-            tmp_path,
-            "d.yaml",
-            "columns:\n"
-            "  - name: a\n    label: true\n"
-            "  - name: b\n    label: true\n"
-            "  - name: num\n    kind: numerical\n",
-        )
+        schema = _write(tmp_path, "d.yaml", SCHEMA_TWO_LABELS)
         with pytest.raises(SchemaError):
             load_schema_file(schema)
 
@@ -129,6 +240,177 @@ class TestLoadCsv:
         np.testing.assert_allclose(
             back.rows[:, num_cols], ds.rows[:, num_cols], rtol=1e-8, atol=1e-8
         )
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a byte-order mark."""
+        text = "num,cat\n1.5,b\n2.0,a\n"
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_CAT)
+        plain = _write(tmp_path, "d.csv", text)
+        marked = tmp_path / "marked" / "d.csv"
+        marked.parent.mkdir()
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert _outcome(load_csv, marked, schema) == _outcome(load_csv, plain, schema)
+
+    def test_bad_cell_wins_over_a_longer_row_further_down(self, tmp_path):
+        data_path = _write(tmp_path, "d.csv", "num,cat\n1.5,b\nxyz,a\n1,a,extra\n")
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_CAT)
+        with pytest.raises(ParseError, match=r"non-numeric value 'xyz' at row 3"):
+            load_csv(data_path, schema)
+
+    def test_first_bad_cell_in_row_order_is_reported(self, tmp_path):
+        """Row 3's empty label comes before row 4's bad number in the first column."""
+        data_path = _write(tmp_path, "d.csv", "y,num\na,1\n ,2\nb,inf\n")
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_LABEL)
+        with pytest.raises(ParseError, match=r"empty label at row 3$"):
+            load_csv(data_path, schema)
+
+    @pytest.mark.parametrize("tail", [
+        "1," + "a" * (csv.field_size_limit() + 1) + "\n",
+        "1,\xff\n",
+    ], ids=["csv-error", "decode-error"])
+    def test_bad_cell_before_a_read_error_in_the_same_block(self, tmp_path, tail):
+        """Rows read before the reader fails are still checked first, as a row
+        by row reader would; the read error comes several text chunks later."""
+        rows = "".join(f"{i},{'b' * 40}\n" for i in range(300))
+        data_path = tmp_path / "d.csv"
+        data_path.write_bytes(f"num,cat\n1.5,b\nxyz,a\n{rows}".encode() + tail.encode("latin-1"))
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_CAT)
+        assert _outcome(load_csv, data_path, schema) == _outcome(
+            _reference_load_csv, data_path, schema
+        )
+        with pytest.raises(ParseError, match="row 3"):
+            load_csv(data_path, schema)
+
+    def test_benchmark_files_load_to_the_reference_bytes(self, tmp_path):
+        """The 2000-row files perfbench generates, without and with categorical columns."""
+        for n_categorical in (0, 12):
+            ds = make_gaussian_dataset(
+                n_rows=2000, d_raw=32, n_classes=4, separation=6.0, seed=1,
+                n_categorical=n_categorical, cardinality=8,
+            )
+            paths = tmp_path / f"{n_categorical}.csv", tmp_path / f"{n_categorical}.yaml"
+            write_dataset_files(ds, *paths)
+            assert _outcome(load_csv, *paths) == _outcome(_reference_load_csv, *paths)
+
+
+# Cells the ingest property test draws: numbers in the spellings float() takes,
+# padded, empty, non-numeric, non-finite, overflowing and quoted ones.
+_CELLS = [
+    "0", "1.5", "-0.0", "2e3", "-7", " 4 ", "\t3.25", "1_0", "", "  ", "xyz", "a", "b",
+    "inf", "-Infinity", "nan", "1e400", '"5"', '" 6 "', '"x,y"', '"a\nb"', '""', 'a"b',
+]
+
+
+@st.composite
+def _csv_files(draw) -> tuple[str, str]:
+    """A schema and CSV text: 1-3 features and maybe a label, in any header order,
+    rows of the header's length or not, blank lines, with or without a final newline."""
+    kinds = draw(st.lists(st.sampled_from([NUMERICAL, CATEGORICAL]), min_size=1, max_size=3))
+    names = [f"f{j}" for j in range(len(kinds))]
+    schema = ["columns:"] + [f"  - name: {n}\n    kind: {k}" for n, k in zip(names, kinds)]
+    if draw(st.booleans()):
+        names.append("y")
+        schema.append("  - name: y\n    label: true")
+    header = draw(st.permutations(names))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 9))):
+        width = len(header) + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1, -len(header)]))
+        lines.append(",".join(draw(st.lists(st.sampled_from(_CELLS), min_size=width, max_size=width))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return "\n".join(schema) + "\n", text
+
+
+@settings(max_examples=400, deadline=None)
+@given(files=_csv_files(), block_rows=st.integers(1, 4))
+def test_load_csv_matches_the_row_by_row_reference(files, block_rows):
+    """Same rows bytes, labels, schema and class names, or the same error type
+    and message, with blocks small enough that a file spans several."""
+    schema_text, csv_text = files
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_BLOCK_ROWS", block_rows)
+        schema_path, data_path = Path(tmp) / "s.yaml", Path(tmp) / "d.csv"
+        schema_path.write_text(schema_text, encoding="utf-8")
+        with data_path.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(csv_text)
+        assert _outcome(load_csv, data_path, schema_path) == _outcome(
+            _reference_load_csv, data_path, schema_path
+        )
+
+
+def _written_schema(tmp_path: Path, n_categorical: int) -> str:
+    """The schema text ``write_dataset_files`` writes for a small synthetic dataset."""
+    ds = make_gaussian_dataset(
+        n_rows=60, d_raw=6, n_classes=2, seed=0, n_categorical=n_categorical, cardinality=3
+    )
+    write_dataset_files(ds, tmp_path / "w.csv", tmp_path / "w.yaml")
+    return (tmp_path / "w.yaml").read_text()
+
+
+# The schemas the suite writes, each made in a test's tmp_path: this module's,
+# the synthetic writer's, a reordered one dumped with sorted keys (as the CLI
+# tests write it), an optdigits-style listing, and one the property test draws.
+_SUITE_SCHEMAS = {
+    "num-cat": lambda tmp: SCHEMA_NUM_CAT,
+    "num-label": lambda tmp: SCHEMA_NUM_LABEL,
+    "two-labels": lambda tmp: SCHEMA_TWO_LABELS,
+    "synthetic": lambda tmp: _written_schema(tmp, 0),
+    "synthetic-mixed": lambda tmp: _written_schema(tmp, 2),
+    "reversed-sorted-keys": lambda tmp: yaml.safe_dump(
+        {"columns": yaml.safe_load(_written_schema(tmp, 2))["columns"][::-1]}
+    ),
+    "optdigits": lambda tmp: "columns:\n"
+    + "".join(f"  - name: p{i}\n    kind: numerical\n" for i in range(64))
+    + "  - name: digit\n    label: true\n",
+    "property-test": lambda tmp: "columns:\n  - name: f0\n    kind: categorical\n"
+    "  - name: f1\n    kind: numerical\n  - name: y\n    label: true\n",
+}
+_MALFORMED_YAML = [
+    "columns: [unclosed\n",
+    "columns:\n  - name: a\n   kind: numerical\n - b\n",
+    "columns:\n\t- name: a\n",
+    "columns: {name: 'open\n",
+    "a: b: c\n",
+]
+
+
+def _schema_outcome(path: Path) -> tuple:
+    try:
+        return load_schema_file(path)
+    except SchemaError as exc:
+        return SchemaError, str(exc)
+
+
+@pytest.mark.parametrize("name", _SUITE_SCHEMAS)
+def test_schema_loads_the_same_with_and_without_libyaml(tmp_path, monkeypatch, name):
+    path = _write(tmp_path, "s.yaml", _SUITE_SCHEMAS[name](tmp_path))
+    default = _schema_outcome(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert _schema_outcome(path) == default
+
+
+@pytest.mark.parametrize("text", _MALFORMED_YAML, ids=range(len(_MALFORMED_YAML)))
+def test_malformed_yaml_is_a_schema_error_with_and_without_libyaml(tmp_path, monkeypatch, text):
+    path = _write(tmp_path, "s.yaml", text)
+    with pytest.raises(SchemaError, match="not valid YAML"):
+        load_schema_file(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(SchemaError, match="not valid YAML"):
+        load_schema_file(path)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_schema_is_parsed_with_libyaml_when_present(tmp_path, monkeypatch):
+    loaders = []
+    real_load = yaml.load
+
+    def spy(stream, Loader):  # noqa: N803 - PyYAML's keyword
+        loaders.append(Loader)
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    load_schema_file(_write(tmp_path, "s.yaml", SCHEMA_NUM_CAT))
+    assert loaders == [yaml.CSafeLoader]
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,25 @@ class TestMlpForward:
             rng.normal(size=(300, 32)).astype(dtype),
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("input_cols", [0, 1, 40, 116])
+    def test_input_cols_gives_the_leading_columns_and_the_same_grads(self, input_cols, dtype):
+        """The asked-for columns are those of the full input gradient, and the
+        parameter gradients keep their bits. The columns are compared to a
+        tolerance: BLAS may pick another kernel for a narrower product."""
+        rng = np.random.default_rng(9)
+        layers = [init_layer(116, 256, rng, dtype), init_layer(256, 32, rng, dtype)]
+        x = rng.normal(size=(300, 116)).astype(dtype)
+        d_out = rng.normal(size=(300, 32)).astype(dtype)
+        _, cache = mlp_forward(layers, x)
+        full_grads, grads = _grads_for(layers), _grads_for(layers)
+        full = mlp_backward(layers, cache, d_out, full_grads)
+        d_x = mlp_backward(layers, cache, d_out, grads, input_cols=input_cols)
+        assert d_x.shape == (300, input_cols)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(d_x, full[:, :input_cols], rtol=tol, atol=tol)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in full_grads]
+
     def test_cache_holds_input_and_activation(self):
         rng = np.random.default_rng(8)
         layers = _random_net(rng)
@@ -339,6 +358,16 @@ class TestInfoNCE:
         assert loss == ref_loss
         assert d_z.tobytes() == ref_d_z.tobytes()
         assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("b", [2, 300])
+    def test_loss_only_gives_the_same_loss(self, b):
+        rng = np.random.default_rng(b)
+        z = rng.normal(size=(b, 48))
+        pos = (np.arange(b) + 1) % b
+        ref_loss, _ = infonce_loss(z, pos, temperature=0.1)
+        loss, d_z = infonce_loss(z, pos, temperature=0.1, grad=False)
+        assert d_z is None
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
 
     def test_short_work_buffer_rejected(self):
         with pytest.raises(ValueError, match="short"):

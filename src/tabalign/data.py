@@ -17,6 +17,7 @@ from .errors import (
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
+KINDS = (NUMERICAL, CATEGORICAL)
 
 # One sixth of the rows go to test (train pool : test = 5 : 1), and one tenth
 # of the remaining pool becomes the validation set.
@@ -48,7 +49,7 @@ class ColumnSchema:
     def __post_init__(self) -> None:
         def error(message: str) -> SchemaError:
             return SchemaError(f"column {self.name!r}: {message}")
-        check_fields(self, error, {"cardinality": 2}, {"kind": (NUMERICAL, CATEGORICAL)})
+        check_fields(self, error, {"cardinality": 2}, {"kind": KINDS})
         if (self.kind == CATEGORICAL) != (self.cardinality is not None):
             raise error("numerical columns have no cardinality, categorical ones need one")
 
@@ -169,7 +170,7 @@ def load_schema_file(path: str | Path) -> tuple[list[tuple[str, str]], str | Non
             label_name = name
             continue
         kind = entry.get("kind")
-        if kind not in (NUMERICAL, CATEGORICAL):
+        if kind not in KINDS:
             raise SchemaError(
                 f"{path}: column {name!r} needs kind 'numerical' or 'categorical', "
                 f"got {kind!r}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, SplitIndices, sample_episode
-from .errors import ConfigError, DimensionError, HeadError, check_fields
+from .errors import ConfigError, HeadError, check_fields
 from .nncore import NORM_EPS, AdamState, DenseLayer, adam_step, mlp_backward, mlp_forward
 from .preprocess import Preprocessor, encode
 from .pretrain import EncoderStack, member_seed, nearest_neighbors
@@ -96,13 +96,9 @@ class EvalReport:
 
 def embed(stack: EncoderStack, x: np.ndarray) -> np.ndarray:
     """The (n, E) embeddings of full (unmasked) rows; the projector plays no role
-    at evaluation."""
-    x = np.asarray(x, dtype=stack.cfg.numpy_dtype())
-    if x.ndim != 2 or x.shape[1] != stack.encoded_dim:
-        raise DimensionError(
-            f"expected (*, {stack.encoded_dim}) inputs, got {x.shape}"
-        )
-    vectors, _ = mlp_forward(stack.encoder, x)
+    at evaluation. :func:`mlp_forward` raises ``DimensionError`` unless ``x`` is
+    2-d and ``encoded_dim`` wide."""
+    vectors, _ = mlp_forward(stack.encoder, np.asarray(x, dtype=stack.cfg.numpy_dtype()))
     if not np.all(np.isfinite(vectors)):
         raise HeadError("encoder produced non-finite embeddings")
     return vectors

@@ -150,11 +150,11 @@ def mlp_backward(
     return d_in
 
 
-def infonce_work(b: int, e: int) -> list[tuple[tuple[int, ...], type]]:
-    """What :func:`infonce_loss` carves from ``work`` for a (b, e) batch: the float64
-    unit rows, then two float64 blocks that each hold a (b, b) or a (b, e) array."""
+def infonce_work(b: int, e: int, dtype: np.dtype) -> list[tuple[tuple[int, ...], type]]:
+    """What :func:`infonce_loss` carves from ``work`` for a (b, e) batch computed in
+    ``dtype``: the unit rows, then two blocks that each hold a (b, b) or a (b, e) array."""
     side = b * max(b, e)
-    return [((b * e,), np.float64), ((side,), np.float64), ((side,), np.float64)]
+    return [((b * e,), dtype), ((side,), dtype), ((side,), dtype)]
 
 
 def infonce_loss(
@@ -172,12 +172,15 @@ def infonce_loss(
     ``-log( exp(s(z_i, z_pos(i)) / t) / sum_{a != i} exp(s(z_i, z_a) / t) )``
     with s = cosine similarity; the denominator runs over all other batch
     rows including the positive. Returns the mean loss and the exact
-    analytic float64 gradient with respect to ``z``, written into ``out``
-    when given; with ``grad=False`` the gradient is not computed and None
-    comes back in its place. The temporaries are carved from ``work`` as
-    :func:`infonce_work` lays them out; ``z`` is only read.
+    analytic gradient with respect to ``z``, written into ``out`` when given;
+    with ``grad=False`` the gradient is not computed and None comes back in
+    its place. A float32 ``z`` is scored and differentiated in float32, any
+    other in float64, and the gradient has that dtype. The temporaries are
+    carved from ``work`` as :func:`infonce_work` lays them out; ``z`` is only read.
     """
     z = np.asarray(z)
+    if z.dtype != np.float32:
+        z = np.asarray(z, dtype=np.float64)
     b = z.shape[0]
     if b < 2:
         raise LossError(f"contrastive loss needs a batch of >= 2, got {b}")
@@ -190,11 +193,8 @@ def infonce_loss(
         raise LossError("pos_index out of range")
 
     e = z.shape[1]
-    unit, first, second = carve(work, infonce_work(b, e))
+    unit, first, second = carve(work, infonce_work(b, e, z.dtype))
     zhat = unit.reshape(b, e)
-    if z.dtype != np.float64:
-        np.copyto(zhat, z)
-        z = zhat
     # np.linalg.norm(z, axis=1): the square roots of the row sums of z * z.
     norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=first[: b * e].reshape(b, e)), axis=1))
     degenerate = norms < NORM_EPS
@@ -274,13 +274,11 @@ class AdamState:
 
 def _scratch(state: AdamState, dtype: np.dtype, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Flags and two arrays of ``dtype`` and ``shape`` over the state's scratch rows of
-    ``dtype``, which are made or grown on first use. The flags share the first row."""
+    ``dtype``. The flags share the first row."""
     views = state.views.get((dtype, shape))
     if views is None:
         n = math.prod(shape)
-        rows = state.scratch.get(dtype)
-        if rows is None or rows.shape[1] < n:
-            rows = state.scratch[dtype] = np.empty((2, n), dtype)
+        rows = state.scratch[dtype]
         flags = rows[0].view(np.bool_)[:n]
         views = state.views[(dtype, shape)] = tuple(a.reshape(shape) for a in (flags, *rows[:, :n]))
     return views
@@ -291,14 +289,17 @@ def adam_step(params: list[np.ndarray], state: AdamState) -> None:
     applied in place to ``params``, ``state.m`` and ``state.v``, with the
     ``ADAM_*`` constants.
 
-    Fails fast on non-finite gradients. Deterministic: identical inputs and
-    state produce bitwise-identical results.
+    Raises :class:`OptimizerError`, before any update, on a gradient whose
+    shape or dtype is not its parameter's or that is not finite.
+    Deterministic: identical inputs and state produce bitwise-identical results.
     """
     if len(params) != len(state.grads) or len(params) != len(state.m):
         raise OptimizerError("parameter, gradient, and state lists disagree in length")
     for p, g in zip(params, state.grads):
         if p.shape != g.shape:
             raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        if p.dtype != g.dtype:
+            raise OptimizerError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
         if not np.isfinite(g, out=_scratch(state, g.dtype, g.shape)[0]).all():
             raise OptimizerError("non-finite gradient")
 
@@ -307,13 +308,9 @@ def adam_step(params: list[np.ndarray], state: AdamState) -> None:
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, state.grads, state.m, state.v):
         # The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` and
-        # the moment updates, in their order, on scratch: ``work`` (the
-        # gradient's dtype), ``step`` and ``denom`` (the moments' dtype; when
-        # the dtypes agree, ``denom`` is ``work``).
+        # the moment updates, in their order, on the two scratch arrays ``work``
+        # (which later holds the denominator) and ``step``.
         _, work, step = _scratch(state, g.dtype, g.shape)
-        denom = work
-        if m.dtype != g.dtype:
-            _, denom, step = _scratch(state, m.dtype, m.shape)
         np.multiply(g, 1.0 - ADAM_BETA1, out=work)
         m *= ADAM_BETA1
         m += work
@@ -323,8 +320,8 @@ def adam_step(params: list[np.ndarray], state: AdamState) -> None:
         v += work
         np.divide(m, bc1, out=step)
         step *= state.lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
+        np.divide(v, bc2, out=work)
+        np.sqrt(work, out=work)
+        work += ADAM_EPS
+        step /= work
         p -= step

@@ -159,7 +159,7 @@ def make_views(
 
     Masked-out coordinates are exactly zero in each view, so the views sum
     back to the input. Accepts a single row or a batch. The views are
-    written into the float64 pair ``out`` when given.
+    written into the pair ``out``, in its dtype, when given.
     """
     x = np.asarray(x)
     m = mask.encoded_mask

@@ -243,27 +243,25 @@ def nearest_neighbor_indices(t: np.ndarray, *, work: np.ndarray | None = None) -
 class Workspace:
     """The buffers of a training run's steps, for batches of up to ``rows`` rows.
 
-    A step writes the leading rows of each buffer. The float64 views, the
-    stack-dtype activations and InfoNCE's float64 gradient get buffers of
-    their own; on a float64 stack ``x_in`` is ``x_f`` and ``d_z_in`` is
-    ``d_z``. Buffers that are never live at once share memory: the gathered
-    batch and the target view, then the encoder output of a conditioned
-    stack, then the projector output and its gradients; and in ``scratch``
-    the pairing search, then InfoNCE, then the backward deltas and ReLU masks.
+    A step writes the leading rows of each buffer. Every array, the views and
+    InfoNCE's gradient included, has the stack's dtype, and so do the pairing
+    and InfoNCE temporaries carved from ``scratch``. Buffers that are never
+    live at once share memory: the gathered batch and the target view, then
+    the encoder output of a conditioned stack, then the projector output and
+    its gradient; and in ``scratch`` the pairing search, then InfoNCE, then
+    the backward deltas and ReLU masks.
     """
 
     rows: int
     batch: np.ndarray
     x_f: np.ndarray
     x_t: np.ndarray
-    x_in: np.ndarray
     enc_hidden: np.ndarray
     embed: np.ndarray
     proj_in: np.ndarray
     proj_hidden: np.ndarray
     z: np.ndarray
     d_z: np.ndarray
-    d_z_in: np.ndarray
     d_proj_in: np.ndarray
     d_hidden: np.ndarray
     masks: np.ndarray
@@ -272,18 +270,15 @@ class Workspace:
     @classmethod
     def for_stack(cls, stack: EncoderStack, rows: int) -> "Workspace":
         """Buffers for ``stack``'s steps on batches of up to ``rows`` rows."""
-        dtype, f64 = stack.cfg.numpy_dtype(), np.float64
+        dtype = stack.cfg.numpy_dtype()
         d, e, hidden = stack.encoded_dim, stack.embed_dim, stack.encoder[0].out_dim
         p_in, p_out = stack.projector[0].in_dim, stack.projector[-1].out_dim
         # Live from the views to the backward pass.
-        live = {"x_f": ((rows, d), f64), "enc_hidden": ((rows, hidden), dtype),
+        live = {"x_f": ((rows, d), dtype), "enc_hidden": ((rows, hidden), dtype),
                 "proj_hidden": ((rows, hidden), dtype)}
         # Groups that share one region: each is dead before the next is written.
-        shared = [{"batch": ((rows, d), dtype), "x_t": ((rows, d), f64)},
-                  {"z": ((rows, p_out), dtype), "d_z": ((rows, p_out), f64)}]
-        if dtype != f64:
-            live["x_in"] = ((rows, d), dtype)
-            shared[1]["d_z_in"] = ((rows, p_out), dtype)
+        shared = [{"batch": ((rows, d), dtype), "x_t": ((rows, d), dtype)},
+                  {"z": ((rows, p_out), dtype), "d_z": ((rows, p_out), dtype)}]
         embed = {"embed": ((rows, e), dtype)}
         if stack.conditioned:
             live["proj_in"] = ((rows, p_in), dtype)
@@ -293,7 +288,7 @@ class Workspace:
         masks = work_bytes([((rows, hidden), np.bool_)])
         backward = {"d_hidden": ((rows, hidden), dtype), "d_proj_in": ((rows, p_in), dtype),
                     "masks": ((masks,), np.uint8)}
-        kernels = [nearest_neighbors_work(rows, rows, d, f64), infonce_work(rows, p_out)]
+        kernels = [nearest_neighbors_work(rows, rows, d, dtype), infonce_work(rows, p_out, dtype)]
         arrays: dict[str, np.ndarray] = {}
 
         def lay(groups: list[dict], least: int = 0) -> np.ndarray:
@@ -307,8 +302,6 @@ class Workspace:
         lay([live])
         lay(shared)
         scratch = lay([backward], least=max(map(work_bytes, kernels)))
-        arrays.setdefault("x_in", arrays["x_f"])
-        arrays.setdefault("d_z_in", arrays["d_z"])
         arrays.setdefault("proj_in", arrays["embed"])
         return cls(rows=rows, scratch=scratch, **arrays)
 
@@ -332,14 +325,6 @@ def _batch_views(
     return x_f, x_t, mask.encoded_mask
 
 
-def _cast(x: np.ndarray, dtype: np.dtype, out: np.ndarray) -> np.ndarray:
-    """``x`` if it already has ``dtype``, else ``x`` cast into ``out``."""
-    if x.dtype == dtype:
-        return x
-    np.copyto(out, x)
-    return out
-
-
 def composite_loss(
     stack: EncoderStack,
     x_f: np.ndarray,
@@ -351,17 +336,17 @@ def composite_loss(
 ) -> float:
     """Contrastive loss of encoder -> conditioned projector on fixed views.
 
-    ``pos`` names each row's positive partner. With ``grads``, laid out like
+    ``pos`` names each row's positive partner. ``x_f`` is read in the stack's
+    dtype, cast when it has another. With ``grads``, laid out like
     ``stack.parameters()``, the full analytic parameter gradient lands in it.
     Activations and deltas go into ``work``'s leading rows (a workspace of
     its own when None).
     """
     dtype = stack.cfg.numpy_dtype()
-    x_f = np.asarray(x_f)
+    x_f = np.asarray(x_f, dtype=dtype)
     n = len(x_f)
     work = work or Workspace.for_stack(stack, n)
-    x = _cast(x_f, dtype, work.x_in[:n])
-    h, enc_cache = mlp_forward(stack.encoder, x, out=[work.enc_hidden[:n], work.embed[:n]])
+    h, enc_cache = mlp_forward(stack.encoder, x_f, out=[work.enc_hidden[:n], work.embed[:n]])
     if stack.conditioned:
         cond = np.broadcast_to(mask_vec.astype(dtype), (n, mask_vec.shape[0]))
         proj_in = np.concatenate([h, cond], axis=1, out=work.proj_in[:n])
@@ -375,7 +360,6 @@ def composite_loss(
         # Only the embedding columns of the projector's input gradient reach
         # the encoder, and nothing reads the encoder's input gradient.
         k, e = 2 * len(stack.encoder), stack.embed_dim
-        d_z = _cast(d_z, dtype, work.d_z_in[:n])
         d_h = mlp_backward(
             stack.projector, proj_cache, d_z, grads[k:], input_cols=e,
             out=[work.d_proj_in[:n, :e], work.d_hidden[:n]], work=work.masks,

@@ -4,6 +4,7 @@ against the code."""
 from __future__ import annotations
 
 import csv
+import importlib
 import inspect
 import json
 import re
@@ -56,6 +57,34 @@ def test_checkpoint_section_names_every_header_key(tmp_path):
 def test_head_table_names_each_head_with_its_parameters(head):
     table = dict(re.findall(r"^\| `(\w+)\(([^)]*)\)` \|", _section("Python API"), flags=re.M))
     assert table.get(head.__name__) == ", ".join(inspect.signature(head).parameters)
+
+
+def _parameter_names(fn) -> list[str]:
+    """``fn``'s parameter names in order, with ``*`` before the first keyword-only one."""
+    names = []
+    for parameter in inspect.signature(fn).parameters.values():
+        if parameter.kind is parameter.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(parameter.name)
+    return names
+
+
+def test_kernel_list_names_each_kernel_with_its_parameters():
+    kernels = " ".join(_section("Python API").split("The training kernels in", 1)[1].split())
+    documented = dict(re.findall(r"`([\w.]+)\(([^`)]*)\)`", kernels))
+    assert {"mlp_forward", "mlp_backward", "infonce_loss", "nearest_neighbors",
+            "preprocess.make_views", "make_views_marginal", "adam_step",
+            "AdamState.for_params"} <= set(documented)
+    modules = {name: importlib.import_module(f"tabalign.{name}")
+               for name in ("nncore", "pretrain", "preprocess")}
+    for name, params in documented.items():
+        head, *rest = name.split(".")
+        target = modules.get(head) or next(
+            getattr(m, head) for m in modules.values() if hasattr(m, head)
+        )
+        for attribute in rest:
+            target = getattr(target, attribute)
+        assert [p.split("=")[0] for p in params.split(", ")] == _parameter_names(target), name
 
 
 def test_output_files_table_lists_the_headers_the_commands_write(tmp_path):

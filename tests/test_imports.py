@@ -1,6 +1,8 @@
-"""Every module in ``src/tabalign`` uses each name it imports.
+"""Every module in ``src/tabalign`` uses each name it imports, and some module of
+the package reads each private (``_``-prefixed) name a module defines at top level.
 
-``__init__.py`` is exempt: its imports are the package's public names.
+``__init__.py`` is exempt from the import check: its imports are the package's
+public names.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tabalign"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -31,13 +34,55 @@ def _used_names(tree: ast.Module) -> set[str]:
     """Every name the module reads, including those inside quoted annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
                 quoted = ast.parse(annotation.value, mode="eval")
                 used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
     return used
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each ``_``-prefixed, non-dunder function, class or variable the module
+    defines at top level, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    (n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, reads as an attribute, or imports."""
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _used_names(tree) | attributes | set(_imported_names(tree))
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+    assert not unread, f"private names no module reads: {sorted(unread)}"
+
+
+def test_check_sees_an_unread_private_name():
+    tree = ast.parse(
+        "_A = 1\n_B, _C = 2, 3\n__all__ = []\ndef _f(): return _B\nclass _K: pass\nx = _K\n"
+    )
+    assert set(_private_definitions(tree)) - _read_names(tree) == {"_A", "_C", "_f"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])

@@ -57,7 +57,7 @@ def _reference_mlp_backward(layers, cache, d_out, grads):
 
 
 def _reference_infonce_loss(z, pos, temperature):
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     b = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < NORM_EPS
@@ -336,7 +336,7 @@ class TestInfoNCE:
         ref_loss, ref_d_z = _reference_infonce_loss(z, pos, 0.1)
         loss, d_z = infonce_loss(z, pos, temperature=0.1)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-        assert d_z.dtype == np.float64
+        assert d_z.dtype == dtype
         assert d_z.tobytes() == ref_d_z.tobytes()
         assert z.tobytes() == before.tobytes()
 
@@ -351,13 +351,23 @@ class TestInfoNCE:
         pos = (np.arange(b) + 1) % b
         before = z.copy()
         ref_loss, ref_d_z = infonce_loss(z, pos, temperature=0.1)
-        out = np.full((b, 48), np.nan)
-        work = np.full(work_bytes(infonce_work(b, 48)), 255, np.uint8)
+        out = np.full((b, 48), np.nan, dtype)
+        work = np.full(work_bytes(infonce_work(b, 48, dtype)), 255, np.uint8)
         loss, d_z = infonce_loss(z, pos, temperature=0.1, out=out, work=work)
         assert d_z is out
         assert loss == ref_loss
         assert d_z.tobytes() == ref_d_z.tobytes()
         assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("b", [256, 1024])
+    def test_float32_agrees_with_float64_on_the_same_values(self, b):
+        rng = np.random.default_rng(b)
+        z = rng.normal(size=(b, 256)).astype(np.float32)
+        pos = (np.arange(b) + 1 + rng.integers(b - 1, size=b)) % b
+        loss, d_z = infonce_loss(z, pos, temperature=0.1)
+        ref_loss, ref_d_z = infonce_loss(z.astype(np.float64), pos, temperature=0.1)
+        assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
+        assert np.abs(d_z - ref_d_z).max() <= 1e-5 * np.abs(ref_d_z).max()
 
     @pytest.mark.parametrize("b", [2, 300])
     def test_loss_only_gives_the_same_loss(self, b):
@@ -445,29 +455,34 @@ class TestAdam:
 
     def test_bits_match_reference_on_mixed_precision_tensors(self):
         """The float32 fine-tune case: a float64 (M, C*E + C) probe buffer
-        trains beside float32 encoder tensors; the last tensor takes a float64
-        gradient for float32 parameters."""
+        trains beside float32 encoder tensors."""
         rng = np.random.default_rng(4)
         f32, f64 = np.float32, np.float64
-        specs = [((2, 1028), f64, f64), ((300, 116), f32, f32), ((300,), f32, f32),
-                 ((256, 300), f32, f32), ((256,), f32, f32), ((50_000,), f32, f32),
-                 ((170, 200), f64, f64), ((64, 9), f32, f64)]
-        params = [rng.normal(size=shape).astype(dtype) for shape, dtype, _ in specs]
+        specs = [((2, 1028), f64), ((300, 116), f32), ((300,), f32), ((256, 300), f32),
+                 ((256,), f32), ((50_000,), f32), ((170, 200), f64)]
+        params = [rng.normal(size=shape).astype(dtype) for shape, dtype in specs]
         ref_params = [p.copy() for p in params]
         state = AdamState.for_params(params, lr=0.001)
         ref_state = AdamState.for_params(ref_params, lr=0.001)
         for _ in range(20):
-            grads = [rng.normal(size=shape).astype(g_dtype) for shape, _, g_dtype in specs]
+            grads = [rng.normal(size=shape).astype(dtype) for shape, dtype in specs]
             grads[1][:3] = 0.0
-            # The list itself stands in for the state's buffers, so the last
-            # tensor keeps its float64 gradient.
-            state.grads = grads
+            for buffer, g in zip(state.grads, grads):
+                buffer[...] = g
             adam_step(params, state)
             _reference_adam_step(ref_params, grads, ref_state)
             for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
         assert state.t == ref_state.t == 20
+
+    def test_gradient_of_another_dtype_raises(self):
+        theta = np.zeros((64, 9), dtype=np.float32)
+        state = AdamState.for_params([theta], lr=0.01)
+        state.grads[0] = np.zeros((64, 9))
+        with pytest.raises(OptimizerError, match="dtype"):
+            adam_step([theta], state)
+        assert state.t == 0
 
     @pytest.mark.parametrize("dtype,big", [(np.float64, 1e308), (np.float32, 3e38)])
     def test_finite_gradient_whose_sum_overflows_steps(self, dtype, big):

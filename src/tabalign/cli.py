@@ -23,13 +23,10 @@ from .checkpoint import load_checkpoint, preprocessor_header, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import Dataset, SplitIndices, load_csv, split
 from .errors import (
-    ConfigError,
-    FormatError,
-    ParseError,
-    SchemaError,
-    TabAlignError,
+    AnalysisError, ConfigError, EpisodeError, FormatError, MaskError, ParseError, SchemaError,
+    TabAlignError, check_seed,
 )
-from .fewshot import HEADS, EvalReport, evaluate
+from .fewshot import EvalReport, evaluate
 from .preprocess import Preprocessor, encode, fit
 from .pretrain import (
     DEFAULT_RATIOS,
@@ -39,8 +36,14 @@ from .pretrain import (
 )
 from .synthetic import make_gaussian_dataset, write_dataset_files
 
-_USAGE_ERRORS = (ConfigError, SchemaError, FormatError, ParseError,
-                 FileNotFoundError, IsADirectoryError, NotADirectoryError)
+# An argument, config value or dataset that does not fit the command exits 2.
+_USAGE_ERRORS = (ConfigError, SchemaError, FormatError, ParseError, MaskError, EpisodeError,
+                 AnalysisError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+# The config keys each command's flags override, in the section named like the command;
+# key ``n_way`` is flag ``--n-way``.
+_OVERRIDES = {"pretrain": ("out_dir", "seed"),
+              "eval": ("n_way", "k_shot", "episodes", "seeds", "head")}
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -60,10 +63,16 @@ def _ratio_tag(ratio: float | str) -> str:
     return RATIO_RANDOM if ratio == RATIO_RANDOM else f"ratio-{float(ratio):.2f}"
 
 
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file with the override flags given to the command applied over it."""
+    flags = {k: v for k, v in vars(args).items() if k in _OVERRIDES.get(args.command, ())}
+    return load_run_config(args.config, {args.command: flags})
+
+
 def _load_dataset(cfg: RunConfig) -> Dataset:
-    """The run's dataset, named by ``dataset_name`` when the config sets one."""
+    """The run's dataset, named by ``dataset_name``."""
     ds = load_csv(cfg.data_path, cfg.schema_path)
-    ds.name = cfg.dataset_name or ds.name
+    ds.name = cfg.dataset_name
     return ds
 
 
@@ -123,31 +132,19 @@ def _load_ensemble(ckpt_dir: Path) -> tuple[list[EncoderStack], Preprocessor]:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    out_dir = Path(args.out_dir) if args.out_dir else cfg.out_dir
-    _train_ensemble(cfg, out_dir)
-    print(f"[pretrain] wrote checkpoints to {out_dir}")
+    cfg = _run_config(args)
+    _train_ensemble(cfg, cfg.out_dir)
+    print(f"[pretrain] wrote checkpoints to {cfg.out_dir}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    flags = {
-        "n_way": args.n_way,
-        "k_shot": args.k_shot,
-        "n_episodes": args.episodes,
-        "n_seeds": args.seeds,
-        "head": args.head,
-    }
+    cfg = _run_config(args)
     members, pp = _load_ensemble(Path(args.checkpoint_dir))
     ds = _load_dataset(cfg)
-    indices = split(ds, cfg.split_seed)
-    changes = {k: v for k, v in flags.items() if v is not None}
+    report = evaluate(members, pp, ds, split(ds, cfg.split_seed), cfg.protocol)
     out = Path(args.out) if args.out else Path(args.checkpoint_dir) / "eval.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    report = evaluate(members, pp, ds, indices, dataclasses.replace(cfg.protocol, **changes))
 
     protocol = report.protocol
     meta = [report.dataset, protocol.n_way, protocol.k_shot, protocol.head]
@@ -171,7 +168,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
+    cfg = _run_config(args)
     out_dir = Path(args.out_dir) if args.out_dir else cfg.out_dir / f"ablate-{args.axis}"
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, EvalReport]] = []
@@ -212,13 +209,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         rows.append(
             (RATIO_RANDOM, evaluate([random_member], pp, ds, indices, cfg.protocol))
         )
-    elif args.axis == "classifier":
+    else:  # classifier
         stacks, pp, ds, indices = _train_ensemble(cfg, out_dir / "members")
         for head in ("linear", "proto-eucl", "proto-cos", "knn-eucl", "knn-cos", "finetune"):
             protocol = dataclasses.replace(cfg.protocol, head=head)
             rows.append((head, evaluate(stacks, pp, ds, indices, protocol)))
-    else:
-        raise ConfigError(f"unknown ablation axis {args.axis!r}")
 
     table = out_dir / f"ablation_{args.axis}.csv"
     _write_csv(
@@ -258,10 +253,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
     for n in n_grid:
         if not 1 <= n <= args.dim:
             raise ConfigError(f"--n-grid: subset size {n} outside [1, {args.dim}]")
+    rng = np.random.default_rng(check_seed(args.seed, "--seed"))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
     estimates = []
     for delta_sq in delta_grid:
         spec = theory_mod.GaussianPairSpec(args.dim, theory_mod.ramp_offset(args.dim, delta_sq))
@@ -297,17 +292,11 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if not 0.0 < args.ratio < 1.0:
-        raise ConfigError(f"--ratio must be in (0, 1), got {args.ratio}")
-    if args.separations < 1:
-        raise ConfigError(f"--separations must be >= 1, got {args.separations}")
-    cfg = load_run_config(args.config)
+    cfg = _run_config(args)
     members, pp = _load_ensemble(Path(args.checkpoint_dir))
     ds = _load_dataset(cfg)
     if ds.labels is None:
         raise ConfigError("analysis needs a labeled dataset")
-    if not 1 <= args.k_max < ds.n_rows:
-        raise ConfigError(f"--k-max must be in [1, {ds.n_rows - 1}], got {args.k_max}")
 
     # Prefer the member whose training ratio is closest to the requested one.
     def ratio_gap(stack: EncoderStack) -> float:
@@ -315,19 +304,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     stack = min(members, key=ratio_gap)
     x = encode(pp, ds, np.arange(ds.n_rows))
-    rng = np.random.default_rng(args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    rng = np.random.default_rng(check_seed(args.seed, "--seed"))
     curve = analysis_mod.neighbor_fraction_curve(
         x, ds.labels, pp, args.ratio, args.separations, args.k_max, rng
     )
+    table = analysis_mod.latent_consistency(x, ds.labels, stack, k=10)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "neighbor_fraction.csv",
         ["k", "mean_fraction"],
         [[k, f"{value:.6f}"] for k, value in enumerate(curve, start=1)],
     )
-    table = analysis_mod.latent_consistency(x, ds.labels, stack, k=10)
     _write_csv(
         out_dir / "latent_consistency.csv",
         ["input_bucket", "mean_input_count", "mean_latent_count", "bucket_size"],
@@ -369,10 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tabalign",
         description="Augmentation-free self-supervised pretraining and "
         "few-shot evaluation for tabular data.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="write a synthetic Gaussian dataset as CSV + schema")
+    def sub(name: str, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+        for key in _OVERRIDES.get(name, ()):
+            p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                           help=f"overrides [{name}] {key}")
+        return p
+
+    p = sub("gen-data", help="write a synthetic Gaussian dataset as CSV + schema")
     p.add_argument("--rows", type=int, default=2000)
     p.add_argument("--dims", type=int, default=32)
     p.add_argument("--classes", type=int, default=4)
@@ -383,24 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("pretrain", help="pretrain one stack per separation ratio")
+    p = sub("pretrain", help="pretrain one stack per separation ratio")
     p.add_argument("--config", required=True)
-    p.add_argument("--out-dir")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("eval", help="few-shot evaluation of a checkpoint directory")
+    p = sub("eval", help="few-shot evaluation of a checkpoint directory")
     p.add_argument("checkpoint_dir")
     p.add_argument("--config", required=True)
-    p.add_argument("--n-way", type=int)
-    p.add_argument("--k-shot", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--head", choices=("auto",) + HEADS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run one ablation axis and emit per-variant accuracy")
+    p = sub("ablate", help="run one ablation axis and emit per-variant accuracy")
     p.add_argument("--config", required=True)
     p.add_argument(
         "--axis",
@@ -410,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("theory", help="Monte Carlo check of the mismatch bound")
+    p = sub("theory", help="Monte Carlo check of the mismatch bound")
     p.add_argument("--dim", type=int, default=50)
     p.add_argument("--delta-sq-grid", default="0,4,16,36")
     p.add_argument("--n-grid", default="5,10,25,50")
@@ -420,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="theory-out")
     p.set_defaults(func=cmd_theory)
 
-    p = sub.add_parser("analyze", help="neighborhood diagnostics CSVs")
+    p = sub("analyze", help="neighborhood diagnostics CSVs")
     p.add_argument("checkpoint_dir")
     p.add_argument("--config", required=True)
     p.add_argument("--ratio", type=float, default=0.2)

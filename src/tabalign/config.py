@@ -96,32 +96,38 @@ def _parse(part: str, name: str, text: str):
     return _PARSERS[get_type_hints(owner)[name]](text)
 
 
-def load_run_config(path: str | Path) -> RunConfig:
-    """Parse an INI config file; unknown sections or keys are errors.
+def load_run_config(path: str | Path, flags: dict[str, dict[str, str]] | None = None) -> RunConfig:
+    """Parse an INI config file, then ``flags`` (section -> ``{key: text}``, the CLI's
+    ``--key-name``) over it; unknown sections or keys are errors.
 
     Each value is checked by the dataclass that holds it, when it is built.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    values: dict[str, dict[str, object]] = defaultdict(dict)
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, text in parser[section].items():
-            if key not in _KEYS[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            part, name = _KEYS[section][key]
-            try:
-                values[part][name] = _parse(part, name, text)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+    entries = [(f"{path}: [{section}] {key}", section, key, text)
+               for section in parser.sections() for key, text in parser[section].items()]
+    entries += [("--" + key.replace("_", "-"), section, key, text)
+                for section, texts in (flags or {}).items() for key, text in texts.items()]
+
+    values: dict[str, dict[str, object]] = defaultdict(dict)
+    for where, section, key, text in entries:
+        if key not in _KEYS[section]:
+            raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+        part, name = _KEYS[section][key]
+        try:
+            values[part][name] = _parse(part, name, text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     run = values.pop("", {})
     if "data_path" not in run or "schema_path" not in run:

@@ -158,11 +158,11 @@ def make_views(
     """Split encoded rows into complementary feature and target views.
 
     Masked-out coordinates are exactly zero in each view, so the views sum
-    back to the input. Accepts a single row or a batch. The views are
-    written into the pair ``out``, in its dtype, when given.
+    back to the input. Accepts a single row or a batch. The views have the
+    dtype of ``x``, or are written into the pair ``out``, in its dtype, when given.
     """
     x = np.asarray(x)
-    m = mask.encoded_mask
+    m = mask.encoded_mask.astype(x.dtype, copy=False)
     if x.shape[-1] != m.shape[0]:
         raise ViewError(f"input width {x.shape[-1]} != encoded dim {m.shape[0]}")
     x_f, x_t = (None, None) if out is None else out

@@ -10,7 +10,7 @@ import numpy as np
 import yaml
 
 from .data import CATEGORICAL, NUMERICAL, ColumnSchema, Dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 
 
 def make_gaussian_dataset(
@@ -28,14 +28,17 @@ def make_gaussian_dataset(
     Every pair of class means is exactly ``separation`` apart, with the
     separation spread across all coordinates. Class sizes are as balanced as
     n_rows allows. With ``n_categorical`` > 0 the trailing columns are
-    discretized into ``cardinality`` quantile bins and declared categorical.
+    discretized into ``cardinality`` quantile bins and declared categorical. Raises
+    :class:`ConfigError` on a bad seed or a ``separation`` that is not finite and >= 0.
     """
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ConfigError(f"separation must be finite and >= 0, got {separation}")
     if n_classes < 2 or n_classes > d_raw:
         raise ConfigError(f"n_classes={n_classes} must be in [2, d_raw={d_raw}]")
     if n_categorical < 0 or n_categorical > d_raw:
         raise ConfigError(f"n_categorical={n_categorical} outside [0, {d_raw}]")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     # Class means sit on random orthonormal directions so the separation is
     # spread across all coordinates rather than concentrated in a few; any
     # pair of means is exactly `separation` apart.

@@ -14,6 +14,7 @@ import yaml
 from tabalign import analysis, cli
 from tabalign.checkpoint import load_checkpoint, save_checkpoint
 from tabalign.cli import main
+from tabalign.config import _KEYS, load_run_config
 from tabalign.data import load_csv
 from tabalign.preprocess import fit
 from tabalign.pretrain import PretrainConfig, init_stack
@@ -602,3 +603,71 @@ class TestAnalyzeCommand:
             ]
         )
         assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--seed", "-1", "--out", "{out}/synth"],
+        ["gen-data", "--separation", "nan", "--out", "{out}/synth"],
+        ["theory", "--seed", "-1", "--dim", "4", "--n-grid", "2", "--trials", "10",
+         "--subsets", "1", "--out-dir", "{out}"],
+        ["analyze", "{run}", "--config", "{ini}", "--seed", "-1", "--out-dir", "{out}"],
+        ["eval", "{run}", "--config", "{ini}", "--n-way", "10", "--out", "{out}/eval.csv"],
+        ["eval", "{run}", "--config", "{ini}", "--seed", "3", "--out", "{out}/eval.csv"],
+        ["eval", "{run}", "--config", "{ini}", "--k-shot", "x", "--out", "{out}/eval.csv"],
+        ["pretrain", "--config", "{ini}", "--seed", "x", "--out-dir", "{out}"],
+    ],
+    ids=["gen-data-seed", "gen-data-separation", "theory-seed", "analyze-seed", "eval-n-way",
+         "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed"],
+)
+def test_bad_argument_exits_2_with_one_error_line_and_no_output(
+    workdir, run_dir, tmp_path, capsys, argv
+):
+    out = tmp_path / "out"
+    fill = {"out": out, "run": run_dir, "ini": workdir / "small.ini"}
+    capsys.readouterr()
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error: " in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_OVERRIDE_TEXTS = {"out_dir": "elsewhere", "seed": "7", "n_way": "3", "k_shot": "1",
+                   "episodes": "9", "seeds": "2", "head": "knn-cos"}
+
+
+@pytest.mark.parametrize(
+    "command,key", [(command, key) for command, keys in cli._OVERRIDES.items() for key in keys]
+)
+def test_override_flag_sets_the_config_key_of_its_name(workdir, tmp_path, command, key):
+    """``--k-shot 1`` gives the RunConfig that ``k_shot = 1`` in ``[eval]`` gives."""
+    assert key in _KEYS[command]
+    data = f"[data]\ndata = {workdir / 'synth.csv'}\nschema = {workdir / 'synth.schema.yaml'}\n"
+    plain, keyed = tmp_path / "plain.ini", tmp_path / "keyed.ini"
+    plain.write_text(data)
+    keyed.write_text(f"{data}[{command}]\n{key} = {_OVERRIDE_TEXTS[key]}\n")
+    positional = [str(workdir / "run")] if command == "eval" else []
+    flag = "--" + key.replace("_", "-")
+    args = cli.build_parser().parse_args(
+        [command, *positional, "--config", str(plain), flag, _OVERRIDE_TEXTS[key]]
+    )
+    assert cli._run_config(args) == load_run_config(keyed) != load_run_config(plain)
+
+
+def test_eval_flags_write_what_the_same_keys_in_the_file_write(workdir, run_dir, tmp_path):
+    keys = {"n_way": "3", "k_shot": "2", "episodes": "2", "seeds": "2", "head": "knn-cos"}
+    base = (workdir / "small.ini").read_text().split("[eval]")[0] + "[eval]\nn_query = 3\n"
+    plain, keyed = tmp_path / "plain.ini", tmp_path / "keyed.ini"
+    plain.write_text(base)
+    keyed.write_text(base + "".join(f"{key} = {text}\n" for key, text in keys.items()))
+    flags = [arg for key, text in keys.items() for arg in ("--" + key.replace("_", "-"), text)]
+    for ini, extra, name in ((plain, flags, "flags"), (keyed, [], "keys")):
+        rc = main(["eval", str(run_dir), "--config", str(ini), *extra,
+                   "--out", str(tmp_path / f"{name}.csv")])
+        assert rc == 0
+    for suffix in (".csv", "_summary.csv"):
+        written = (tmp_path / f"flags{suffix}").read_bytes()
+        assert written == (tmp_path / f"keys{suffix}").read_bytes()
+    assert _read_csv(tmp_path / "flags.csv")[1][:4] == ["synth", "3", "2", "knn-cos"]

@@ -202,3 +202,10 @@ def test_misspelled_imputation_exits_2(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(_with("pretrain", "imputation = marginl"))
     assert main(["pretrain", "--config", str(path)]) == 2
+
+
+def test_percent_sign_is_read_as_itself(tmp_path):
+    """A value is the text after ``=``: ``%`` starts no interpolation."""
+    cfg = _load(tmp_path, "[data]\ndata = rows%1.csv\nschema = 100%.yaml\nname = a%(b)s\n")
+    assert cfg.data_path == Path("rows%1.csv") and cfg.schema_path == Path("100%.yaml")
+    assert cfg.dataset_name == "a%(b)s"

@@ -241,6 +241,18 @@ class TestLoadCsv:
             back.rows[:, num_cols], ds.rows[:, num_cols], rtol=1e-8, atol=1e-8
         )
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"seed": -1}, "seed must be an int >= 0"),
+        ({"seed": 1.5}, "seed must be an int >= 0"),
+        ({"separation": float("nan")}, "separation must be finite and >= 0"),
+        ({"separation": float("inf")}, "separation must be finite and >= 0"),
+        ({"separation": -1.0}, "separation must be finite and >= 0"),
+    ], ids=["seed-negative", "seed-float", "separation-nan", "separation-inf",
+            "separation-negative"])
+    def test_synthetic_rejects_a_bad_seed_or_separation(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            make_gaussian_dataset(n_rows=40, d_raw=3, n_classes=2, **kwargs)
+
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
         """Excel's "CSV UTF-8" starts the file with a byte-order mark."""
         text = "num,cat\n1.5,b\n2.0,a\n"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tabalign.checkpoint import save_checkpoint
-from tabalign.cli import main
+from tabalign.cli import _OVERRIDES, main
 from tabalign.config import _KEYS
 from tabalign.fewshot import finetune_probs, knn_probs, linear_probe_probs, prototype_probs
 from tabalign.preprocess import fit
@@ -127,3 +127,12 @@ def test_output_files_table_lists_the_headers_the_commands_write(tmp_path):
     assert set(written) == set(documented)
     for name, headers in written.items():
         assert headers == [documented[name]] * len(headers), name
+
+
+def test_commands_section_lists_exactly_the_override_flags():
+    rows = re.findall(r"^\| `([\w-]+)` \| `--([\w-]+)` \| `\[(\w+)\] (\w+)` \|$",
+                      _section("Commands"), flags=re.M)
+    assert sorted(rows) == sorted(
+        (command, key.replace("_", "-"), command, key)
+        for command, keys in _OVERRIDES.items() for key in keys
+    )

@@ -209,7 +209,26 @@ class TestMakeViews:
         out = (np.full((5, 7), np.nan), np.full((5, 7), np.nan))
         got = make_views(x, mask, out=out)
         assert got[0] is out[0] and got[1] is out[1]
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in make_views(x, mask)]
+        assert [v.tobytes() for v in got] == [
+            v.astype(np.float64).tobytes() for v in make_views(x, mask)
+        ]
+
+    @pytest.mark.parametrize("marginal", [False, True], ids=["zero", "marginal"])
+    def test_float32_views_are_the_float64_mask_product_in_float32(self, marginal):
+        ds = mixed_dataset(seed=4)
+        pp = fit(ds, np.arange(ds.n_rows))
+        x = encode(pp, ds, np.arange(ds.n_rows))
+        mask = sample_mask(pp, 0.5, np.random.default_rng(0))
+        assert mask.encoded_mask.dtype == np.float64
+
+        def views(batch):
+            if marginal:
+                return make_views_marginal(batch, mask, pp, np.random.default_rng(1))
+            return make_views(batch, mask)
+
+        got = views(x.astype(np.float32))
+        assert [v.dtype for v in got] == [np.float32, np.float32]
+        assert [v.tobytes() for v in got] == [v.astype(np.float32).tobytes() for v in views(x)]
 
     def test_dimension_mismatch(self):
         mask = SeparationMask(

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, pretrain, eval, ablate, theory, analyze. Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error. All randomness
+0 success, 2 an input that does not fit the command (a ``UsageError``, or a
+missing or misplaced file), 1 any other failure. All randomness
 flows from the configured seeds, so reruns with identical inputs reproduce
 identical outputs. The compute modules return data; every report table is
 written here, by ``_write_csv``.
@@ -22,11 +23,8 @@ from . import theory as theory_mod
 from .checkpoint import load_checkpoint, preprocessor_header, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import Dataset, SplitIndices, load_csv, split
-from .errors import (
-    AnalysisError, ConfigError, EpisodeError, FormatError, MaskError, ParseError, SchemaError,
-    TabAlignError, check_seed,
-)
-from .fewshot import EvalReport, evaluate
+from .errors import ConfigError, TabAlignError, UsageError, check_seed
+from .fewshot import HEADS, EvalReport, evaluate
 from .preprocess import Preprocessor, encode, fit
 from .pretrain import (
     DEFAULT_RATIOS,
@@ -35,10 +33,6 @@ from .pretrain import (
     pretrain_ensemble,
 )
 from .synthetic import make_gaussian_dataset, write_dataset_files
-
-# An argument, config value or dataset that does not fit the command exits 2.
-_USAGE_ERRORS = (ConfigError, SchemaError, FormatError, ParseError, MaskError, EpisodeError,
-                 AnalysisError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 # The config keys each command's flags override, in the section named like the command;
 # key ``n_way`` is flag ``--n-way``.
@@ -85,8 +79,8 @@ def _train_ensemble(
     pp = fit(ds, indices.train, normalize=cfg.normalize)
     x_train = encode(pp, ds, indices.train)
     x_valid = encode(pp, ds, indices.valid)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stacks, reports = pretrain_ensemble(x_train, x_valid, pp, cfg.ratios, cfg.pretrain, cfg.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for k, (stack, report) in enumerate(zip(stacks, reports)):
         name = f"member-{k:02d}-{_ratio_tag(stack.ratio)}.ckpt"
         save_checkpoint(out_dir / name, stack, pp)
@@ -211,7 +205,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         )
     else:  # classifier
         stacks, pp, ds, indices = _train_ensemble(cfg, out_dir / "members")
-        for head in ("linear", "proto-eucl", "proto-cos", "knn-eucl", "knn-cos", "finetune"):
+        for head in HEADS:
             protocol = dataclasses.replace(cfg.protocol, head=head)
             rows.append((head, evaluate(stacks, pp, ds, indices, protocol)))
 
@@ -431,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TabAlignError, OSError) as exc:

@@ -108,7 +108,7 @@ def load_run_config(path: str | Path, flags: dict[str, dict[str, str]] | None = 
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for section in parser.sections():

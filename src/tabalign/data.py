@@ -146,6 +146,8 @@ def load_schema_file(path: str | Path) -> tuple[list[tuple[str, str]], str | Non
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict) or "columns" not in raw:
@@ -189,7 +191,9 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
     UTF-8 byte-order mark is skipped. Rows are read ``_BLOCK_ROWS`` at a time
     and parsed a column at a time; the error raised is the one for the first
     bad cell in row order (schema column order within a row, the label
-    last), or for the first row with the wrong number of cells before it.
+    last), or for the first row with the wrong number of cells before it. A file
+    that is not UTF-8 text, or a field over ``csv.field_size_limit()``, is a
+    :class:`FormatError` once the rows read before it are checked.
     """
     data_path = Path(data_path)
     features, label_name = load_schema_file(schema_path)
@@ -200,6 +204,8 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{data_path}: empty file") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _read_error(data_path, reader.line_num, exc) from exc
 
         expected = [name for name, _ in features]
         if label_name is not None:
@@ -239,7 +245,7 @@ def load_csv(data_path: str | Path, schema_path: str | Path) -> Dataset:
                     f"expected {len(header)}"
                 )
             if failure is not None:
-                raise failure
+                raise _read_error(data_path, reader.line_num, failure) from failure
             if len(block) < _BLOCK_ROWS:
                 break
             first_row += len(block)
@@ -276,6 +282,14 @@ def _read_block(reader) -> tuple[list[list[str]], Exception | None]:
     except (UnicodeDecodeError, csv.Error) as exc:
         return block, exc
     return block, None
+
+
+def _read_error(data_path: Path, line: int, exc: Exception) -> FormatError:
+    """The error for a file the reader stopped on at ``line``: CSV errors name the line;
+    decode errors do not, as the text layer decodes ahead of the row being read."""
+    if isinstance(exc, csv.Error):
+        return FormatError(f"{data_path}: line {line}: {exc}")
+    return FormatError(f"{data_path}: not UTF-8 text ({exc.reason})")
 
 
 def _parse_columns(rows: list[list[str]], fields: list[tuple]) -> list[np.ndarray] | None:

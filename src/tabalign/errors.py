@@ -10,68 +10,56 @@ class TabAlignError(Exception):
     """Base class for all package errors."""
 
 
-class SchemaError(TabAlignError):
+class UsageError(TabAlignError):
+    """An input the caller handed in does not fit the call; the CLI exits 2 on it."""
+
+
+class ConfigError(UsageError):
+    """Invalid run configuration."""
+
+
+class SchemaError(UsageError):
     """Schema file problems or header/schema mismatch."""
 
 
-class ParseError(TabAlignError):
+class ParseError(UsageError):
     """A cell value that cannot be parsed under its declared column kind."""
 
 
-class FormatError(TabAlignError):
+class FormatError(UsageError):
     """Structurally invalid input file."""
 
 
-class SplitError(TabAlignError):
-    """Dataset too small to give every class a presence in the test split."""
+class SplitError(UsageError):
+    """Dataset too small for the split or the run it feeds."""
 
 
-class EpisodeError(TabAlignError):
+class EpisodeError(UsageError):
     """A class lacks enough test rows for the requested episode."""
 
 
-class EncodingError(TabAlignError):
-    """Raw value outside the fitted encoder's domain."""
-
-
-class MaskError(TabAlignError):
+class MaskError(UsageError):
     """Separation mask cannot be sampled for this schema."""
 
 
-class ViewError(TabAlignError):
-    """View construction on inputs of the wrong width."""
+class AnalysisError(UsageError):
+    """Neighborhood diagnostics asked for more neighbors than rows exist."""
 
 
-class DimensionError(TabAlignError):
-    """Matrix shapes incompatible with the layer stack."""
+class CheckpointError(UsageError):
+    """Malformed or incompatible checkpoint file."""
 
 
-class LossError(TabAlignError):
-    """Loss inputs violate the batch contract."""
-
-
-class OptimizerError(TabAlignError):
-    """Non-finite gradients or mismatched optimizer state."""
+class ArrayError(TabAlignError):
+    """Arrays that break a kernel's shape, dtype or finiteness contract."""
 
 
 class TrainingError(TabAlignError):
-    """Pretraining aborted: non-finite loss or unusable training data."""
+    """Pretraining aborted on a non-finite loss."""
 
 
 class HeadError(TabAlignError):
     """Few-shot classification head cannot be applied."""
-
-
-class AnalysisError(TabAlignError):
-    """Neighborhood diagnostics asked for more neighbors than rows exist."""
-
-
-class CheckpointError(TabAlignError):
-    """Malformed or incompatible checkpoint file."""
-
-
-class ConfigError(TabAlignError):
-    """Invalid run configuration."""
 
 
 def check_seed(seed, name: str = "seed") -> int:

@@ -96,7 +96,7 @@ class EvalReport:
 
 def embed(stack: EncoderStack, x: np.ndarray) -> np.ndarray:
     """The (n, E) embeddings of full (unmasked) rows; the projector plays no role
-    at evaluation. :func:`mlp_forward` raises ``DimensionError`` unless ``x`` is
+    at evaluation. :func:`mlp_forward` raises ``ArrayError`` unless ``x`` is
     2-d and ``encoded_dim`` wide."""
     vectors, _ = mlp_forward(stack.encoder, np.asarray(x, dtype=stack.cfg.numpy_dtype()))
     if not np.all(np.isfinite(vectors)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, LossError, OptimizerError
+from .errors import ArrayError
 
 NORM_EPS = 1e-12
 # Adam's fixed hyperparameters; only the step size varies between callers.
@@ -98,9 +98,9 @@ def mlp_forward(
     """
     x = np.asarray(x)
     if x.ndim != 2:
-        raise DimensionError(f"expected a 2-d batch, got shape {x.shape}")
+        raise ArrayError(f"expected a 2-d batch, got shape {x.shape}")
     if x.shape[1] != layers[0].in_dim:
-        raise DimensionError(
+        raise ArrayError(
             f"input width {x.shape[1]} != first layer in_dim {layers[0].in_dim}"
         )
     cache: list[tuple[np.ndarray, np.ndarray]] = []
@@ -183,14 +183,14 @@ def infonce_loss(
         z = np.asarray(z, dtype=np.float64)
     b = z.shape[0]
     if b < 2:
-        raise LossError(f"contrastive loss needs a batch of >= 2, got {b}")
+        raise ArrayError(f"contrastive loss needs a batch of >= 2, got {b}")
     pos = np.asarray(pos_index, dtype=np.int64)
     if pos.shape != (b,):
-        raise LossError(f"pos_index shape {pos.shape} != ({b},)")
+        raise ArrayError(f"pos_index shape {pos.shape} != ({b},)")
     if np.any(pos == np.arange(b)):
-        raise LossError("a row cannot be its own positive partner")
+        raise ArrayError("a row cannot be its own positive partner")
     if np.any((pos < 0) | (pos >= b)):
-        raise LossError("pos_index out of range")
+        raise ArrayError("pos_index out of range")
 
     e = z.shape[1]
     unit, first, second = carve(work, infonce_work(b, e, z.dtype))
@@ -289,19 +289,19 @@ def adam_step(params: list[np.ndarray], state: AdamState) -> None:
     applied in place to ``params``, ``state.m`` and ``state.v``, with the
     ``ADAM_*`` constants.
 
-    Raises :class:`OptimizerError`, before any update, on a gradient whose
+    Raises :class:`ArrayError`, before any update, on a gradient whose
     shape or dtype is not its parameter's or that is not finite.
     Deterministic: identical inputs and state produce bitwise-identical results.
     """
     if len(params) != len(state.grads) or len(params) != len(state.m):
-        raise OptimizerError("parameter, gradient, and state lists disagree in length")
+        raise ArrayError("parameter, gradient, and state lists disagree in length")
     for p, g in zip(params, state.grads):
         if p.shape != g.shape:
-            raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+            raise ArrayError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if p.dtype != g.dtype:
-            raise OptimizerError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
+            raise ArrayError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
         if not np.isfinite(g, out=_scratch(state, g.dtype, g.shape)[0]).all():
-            raise OptimizerError("non-finite gradient")
+            raise ArrayError("non-finite gradient")
 
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t

@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .data import NUMERICAL, ColumnSchema, Dataset, _round_half_up
-from .errors import EncodingError, MaskError, SchemaError, ViewError
+from .errors import ArrayError, MaskError, SchemaError
 
 
 @dataclass
@@ -69,7 +69,7 @@ def fit(ds: Dataset, train_indices: np.ndarray, normalize: bool = True) -> Prepr
     """
     train_indices = np.asarray(train_indices)
     if train_indices.size == 0:
-        raise EncodingError("fit requires at least one training row")
+        raise ArrayError("fit requires at least one training row")
     x = ds.rows[train_indices]
 
     means = np.zeros(ds.d_raw)
@@ -91,7 +91,7 @@ def encode_rows(pp: Preprocessor, rows: np.ndarray) -> np.ndarray:
     """Encode a (n, d_raw) matrix of raw cells into (n, encoded_dim)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != pp.d_raw:
-        raise EncodingError(f"rows have {rows.shape[1]} columns, expected {pp.d_raw}")
+        raise ArrayError(f"rows have {rows.shape[1]} columns, expected {pp.d_raw}")
     n = rows.shape[0]
     out = np.zeros((n, pp.encoded_dim))
     for j, col in enumerate(pp.schema):
@@ -102,7 +102,7 @@ def encode_rows(pp: Preprocessor, rows: np.ndarray) -> np.ndarray:
             idx = np.rint(rows[:, j]).astype(np.int64)
             card = stop - start
             if idx.size and (idx.min() < 0 or idx.max() >= card):
-                raise EncodingError(
+                raise ArrayError(
                     f"raw column {j}: category index outside [0, {card})"
                 )
             out[np.arange(n), start + idx] = 1.0
@@ -164,7 +164,7 @@ def make_views(
     x = np.asarray(x)
     m = mask.encoded_mask.astype(x.dtype, copy=False)
     if x.shape[-1] != m.shape[0]:
-        raise ViewError(f"input width {x.shape[-1]} != encoded dim {m.shape[0]}")
+        raise ArrayError(f"input width {x.shape[-1]} != encoded dim {m.shape[0]}")
     x_f, x_t = (None, None) if out is None else out
     return np.multiply(x, 1.0 - m, out=x_f), np.multiply(x, m, out=x_t)
 
@@ -185,7 +185,7 @@ def make_views_marginal(
     distances remain pure subspace distances. ``out`` is as in :func:`make_views`.
     """
     if pp.marginals is None:
-        raise ViewError(
+        raise ArrayError(
             "marginal imputation needs the training marginals, which a preprocessor "
             "loaded from a checkpoint does not keep"
         )

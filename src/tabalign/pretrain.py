@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, check_fields, check_seed
+from .errors import ArrayError, ConfigError, SplitError, TrainingError, check_fields, check_seed
 from .nncore import (
     AdamState,
     DenseLayer,
@@ -235,7 +235,7 @@ def nearest_neighbors(
 def nearest_neighbor_indices(t: np.ndarray, *, work: np.ndarray | None = None) -> np.ndarray:
     """Nearest neighbor of every row (O(B^2) exact search, ties to smallest index)."""
     if len(t) < 2:
-        raise TrainingError("nearest-neighbor search needs a batch of >= 2")
+        raise ArrayError("nearest-neighbor search needs a batch of >= 2")
     return nearest_neighbors(t, 1, work=work)[:, 0]
 
 
@@ -445,9 +445,9 @@ def pretrain(
     """
     cfg = stack.cfg
     if len(train) < 2:
-        raise TrainingError("training set needs at least 2 rows")
+        raise SplitError("training set needs at least 2 rows")
     if len(valid) < 2:
-        raise TrainingError(f"validation set needs at least 2 rows, got {len(valid)}")
+        raise SplitError(f"validation set needs at least 2 rows, got {len(valid)}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([stack.seed, 1])))
     adam = AdamState.for_params(stack.parameters(), lr=cfg.learning_rate)
@@ -523,7 +523,7 @@ def pretrain_ensemble(
     """
     check_seed(master_seed, "master_seed")
     if not ratios:
-        raise TrainingError("ensemble needs at least one separation ratio")
+        raise ConfigError("ensemble needs at least one separation ratio")
     stacks: list[EncoderStack] = []
     reports: list[PretrainReport] = []
     for k, ratio in enumerate(ratios):

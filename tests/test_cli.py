@@ -16,6 +16,8 @@ from tabalign.checkpoint import load_checkpoint, save_checkpoint
 from tabalign.cli import main
 from tabalign.config import _KEYS, load_run_config
 from tabalign.data import load_csv
+from tabalign.errors import TabAlignError, UsageError
+from tabalign.fewshot import HEADS
 from tabalign.preprocess import fit
 from tabalign.pretrain import PretrainConfig, init_stack
 
@@ -457,9 +459,7 @@ class TestAblateCommand:
         )
         assert rc == 0
         rows = _read_csv(out / "ablation_classifier.csv")
-        assert [r[1] for r in rows[1:]] == [
-            "linear", "proto-eucl", "proto-cos", "knn-eucl", "knn-cos", "finetune"
-        ]
+        assert [r[1] for r in rows[1:]] == list(HEADS)
 
     def test_invalid_axis_is_usage_error(self, workdir):
         rc = main(
@@ -605,6 +605,54 @@ class TestAnalyzeCommand:
         assert rc == 2
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(workdir, run_dir) -> dict[str, Path]:
+    """Inputs that do not fit a command, by the placeholder the exit table names them with:
+    INI files, each naming ``small.ini``'s data and schema or a broken copy of one, and a
+    directory holding a truncated checkpoint."""
+    root = workdir / "bad"
+    root.mkdir()
+    ini_text = (workdir / "small.ini").read_text()
+    data, schema = workdir / "synth.csv", workdir / "synth.schema.yaml"
+    header, *rows = data.read_bytes().splitlines(keepends=True)
+
+    def config(name: str, data_path: Path = data, schema_path: Path = schema) -> Path:
+        path = root / f"{name}.ini"
+        path.write_text(ini_text.replace(str(data), str(data_path))
+                        .replace(str(schema), str(schema_path)))
+        return path
+
+    def data_file(name: str, content: bytes) -> Path:
+        path = root / f"{name}.csv"
+        path.write_bytes(content)
+        return path
+
+    # Two classes over 12 rows split into 9 training rows, 1 validation row and 2 test rows.
+    assert main(["gen-data", "--rows", "12", "--dims", "4", "--classes", "2",
+                 "--out", str(root / "rows12")]) == 0
+    schema_ff = root / "ff.schema.yaml"
+    schema_ff.write_bytes(schema.read_bytes() + b"# \xff\n")
+    ini_ff = root / "ff.ini"
+    ini_ff.write_bytes(ini_text.encode() + b"# \xff\n")
+    checkpoint = sorted(run_dir.glob("*.ckpt"))[0].read_bytes()
+    (root / "truncated").mkdir()
+    (root / "truncated" / "member.ckpt").write_bytes(checkpoint[: len(checkpoint) // 2])
+    # 1,200 rows fill two 512-row blocks before the bad bytes.
+    body = header + b"".join(rows * 5)
+    return {
+        "rows10": config("rows10", data_file("rows10", header + b"".join(rows[:10]))),
+        "rows12": config("rows12", root / "rows12.csv", root / "rows12.schema.yaml"),
+        "truncated": root / "truncated",
+        "ini_ff": ini_ff,
+        "schema_ff": config("schema_ff", schema_path=schema_ff),
+        "header_ff": config("header_ff", data_file("header_ff", b"\xff" + header + rows[0])),
+        "body_ff": config("body_ff", data_file("body_ff", body + b"\xff" + rows[0])),
+        "long_field": config("long_field", data_file(
+            "long_field", body + b"1" * (csv.field_size_limit() + 1) + rows[0]
+        )),
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -617,15 +665,27 @@ class TestAnalyzeCommand:
         ["eval", "{run}", "--config", "{ini}", "--seed", "3", "--out", "{out}/eval.csv"],
         ["eval", "{run}", "--config", "{ini}", "--k-shot", "x", "--out", "{out}/eval.csv"],
         ["pretrain", "--config", "{ini}", "--seed", "x", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{rows10}", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{rows12}", "--out-dir", "{out}"],
+        ["eval", "{truncated}", "--config", "{ini}", "--out", "{out}/eval.csv"],
+        ["analyze", "{truncated}", "--config", "{ini}", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{ini_ff}", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{schema_ff}", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{header_ff}", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{body_ff}", "--out-dir", "{out}"],
+        ["pretrain", "--config", "{long_field}", "--out-dir", "{out}"],
     ],
     ids=["gen-data-seed", "gen-data-separation", "theory-seed", "analyze-seed", "eval-n-way",
-         "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed"],
+         "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed", "pretrain-10-rows",
+         "pretrain-12-rows", "eval-truncated-checkpoint", "analyze-truncated-checkpoint",
+         "ini-not-utf8", "schema-not-utf8", "csv-header-not-utf8", "csv-body-not-utf8",
+         "csv-field-over-limit"],
 )
 def test_bad_argument_exits_2_with_one_error_line_and_no_output(
-    workdir, run_dir, tmp_path, capsys, argv
+    workdir, run_dir, bad_inputs, tmp_path, capsys, argv
 ):
     out = tmp_path / "out"
-    fill = {"out": out, "run": run_dir, "ini": workdir / "small.ini"}
+    fill = {"out": out, "run": run_dir, "ini": workdir / "small.ini", **bad_inputs}
     capsys.readouterr()
     assert main([arg.format(**fill) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -671,3 +731,21 @@ def test_eval_flags_write_what_the_same_keys_in_the_file_write(workdir, run_dir,
         written = (tmp_path / f"flags{suffix}").read_bytes()
         assert written == (tmp_path / f"keys{suffix}").read_bytes()
     assert _read_csv(tmp_path / "flags.csv")[1][:4] == ["synth", "3", "2", "knn-cos"]
+
+
+def _descendants(cls: type) -> list[type]:
+    return [d for sub in cls.__subclasses__() for d in (sub, *_descendants(sub))]
+
+
+@pytest.mark.parametrize("error", _descendants(TabAlignError), ids=lambda cls: cls.__name__)
+def test_the_error_class_decides_the_exit_code(tmp_path, monkeypatch, capsys, error):
+    """Exit 2 for an input the caller handed in, 1 for any other failure of the run."""
+    def fail(**kwargs):
+        raise error("no dataset")
+
+    monkeypatch.setattr(cli, "make_gaussian_dataset", fail)
+    capsys.readouterr()
+    assert main(["gen-data", "--out", str(tmp_path / "synth")]) == (
+        2 if issubclass(error, UsageError) else 1
+    )
+    assert capsys.readouterr().err == "error: no dataset\n"

@@ -293,6 +293,20 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 3"):
             load_csv(data_path, schema)
 
+    @pytest.mark.parametrize("tail,match", [
+        ("1," + "a" * (csv.field_size_limit() + 1) + "\n", r": line 302: field larger than"),
+        ("1,\xff\n", r": not UTF-8 text \(invalid start byte\)$"),
+    ], ids=["csv-error", "decode-error"])
+    def test_read_error_is_a_format_error(self, tmp_path, tail, match):
+        """A CSV error names its line; a decode error names none, as the text layer
+        decodes thousands of bytes ahead of the row being read."""
+        rows = "".join(f"{i},{'b' * 40}\n" for i in range(300))
+        data_path = tmp_path / "d.csv"
+        data_path.write_bytes(f"num,cat\n{rows}".encode() + tail.encode("latin-1"))
+        schema = _write(tmp_path, "d.yaml", SCHEMA_NUM_CAT)
+        with pytest.raises(FormatError, match=match):
+            load_csv(data_path, schema)
+
     def test_benchmark_files_load_to_the_reference_bytes(self, tmp_path):
         """The 2000-row files perfbench generates, without and with categorical columns."""
         for n_categorical in (0, 12):

@@ -1,5 +1,5 @@
-"""The README's config reference, output files, checkpoint header and head table
-against the code."""
+"""The README's config reference, output files, checkpoint header, head table and
+exit codes against the code."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import pytest
 from tabalign.checkpoint import save_checkpoint
 from tabalign.cli import _OVERRIDES, main
 from tabalign.config import _KEYS
+from tabalign.errors import TabAlignError, UsageError
 from tabalign.fewshot import finetune_probs, knn_probs, linear_probe_probs, prototype_probs
 from tabalign.preprocess import fit
 from tabalign.pretrain import PretrainConfig, init_stack
@@ -136,3 +137,19 @@ def test_commands_section_lists_exactly_the_override_flags():
         (command, key.replace("_", "-"), command, key)
         for command, keys in _OVERRIDES.items() for key in keys
     )
+
+
+def _descendants(cls: type) -> set[type]:
+    return {d for sub in cls.__subclasses__() for d in (sub, *_descendants(sub))}
+
+
+def test_exit_code_list_names_exactly_the_usage_errors():
+    """The bullets under "exits 2" are the ``UsageError`` classes; the exit-1 paragraph
+    names only other package errors."""
+    exits_2, exits_1 = _section("Commands").split("Any other failure exits 1", 1)
+    listed = re.findall(r"^- `(\w+)`:", exits_2, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {cls.__name__ for cls in _descendants(UsageError)}
+    faults = _descendants(TabAlignError) - _descendants(UsageError) - {UsageError}
+    named = set(re.findall(r"`(\w+Error)`", exits_1.split("\n\n", 1)[0]))
+    assert named == {cls.__name__ for cls in faults} | {"OSError"}

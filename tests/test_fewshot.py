@@ -10,7 +10,7 @@ import pytest
 
 from tabalign import fewshot
 from tabalign.data import sample_episode, split
-from tabalign.errors import ConfigError, DimensionError, HeadError
+from tabalign.errors import ArrayError, ConfigError, HeadError
 from tabalign.fewshot import (
     ProbeConfig,
     Protocol,
@@ -147,7 +147,7 @@ class TestEmbed:
 
     def test_dimension_mismatch(self):
         stack = init_stack(6, 0.2, seed=0, cfg=TINY_CFG)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ArrayError):
             embed(stack, np.ones((3, 7)))
 
     def test_non_finite_embedding_rejected(self):

@@ -1,5 +1,6 @@
-"""Every module in ``src/tabalign`` uses each name it imports, and some module of
-the package reads each private (``_``-prefixed) name a module defines at top level.
+"""Every module in ``src/tabalign`` uses each name it imports, some module of the
+package reads each private (``_``-prefixed) name a module defines at top level, and
+some module raises each error class ``errors.py`` defines, or one derived from it.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 public names.
@@ -96,3 +97,37 @@ def test_module_uses_every_import(path):
 def test_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads as read\nx: 'Path' = read('1')\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "dumps"}
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    """Every name the module raises, or calls, as a bare name: ``raise X``, ``X(...)``."""
+    raised = {node.exc.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)}
+    return raised | {node.func.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def _dead_classes(errors: ast.Module, raised: set[str]) -> set[str]:
+    """The classes ``errors`` defines that are neither raised nor the base of a class that is."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in errors.body if isinstance(node, ast.ClassDef)}
+    live = set(raised) & set(bases)
+    while grown := {b for name in live for b in bases[name] if b in bases} - live:
+        live |= grown
+    return set(bases) - live
+
+
+def test_every_error_class_is_raised():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    dead = _dead_classes(errors, set().union(*map(_raised_names, trees)))
+    assert not dead, f"error classes no module raises: {sorted(dead)}"
+
+
+def test_check_sees_a_dead_error_class():
+    errors = ast.parse(
+        "class Base(Exception): pass\nclass Mid(Base): pass\nclass Leaf(Mid): pass\n"
+        "class Dead(Base): pass\nclass Unused(Exception): pass\n"
+    )
+    raised = _raised_names(ast.parse("def f():\n    raise Leaf('x')\nDead\n"))
+    assert _dead_classes(errors, raised) == {"Dead", "Unused"}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabalign.data import CATEGORICAL, NUMERICAL, ColumnSchema, Dataset
-from tabalign.errors import EncodingError, MaskError, SchemaError, ViewError
+from tabalign.errors import ArrayError, MaskError, SchemaError
 from tabalign.preprocess import (
     SeparationMask,
     encode,
@@ -78,7 +78,7 @@ class TestFit:
         np.testing.assert_allclose(encode(pp, ds, np.arange(3)).ravel(), [1.0, 2.0, 3.0])
 
     def test_empty_train_rejected(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(ArrayError):
             fit(_numeric_ds([1.0]), np.array([], dtype=np.int64))
 
 
@@ -101,7 +101,7 @@ class TestEncode:
 
     def test_category_out_of_range(self):
         pp = fit(_num_cat_ds(), np.arange(3))
-        with pytest.raises(EncodingError):
+        with pytest.raises(ArrayError):
             encode_rows(pp, np.array([[1.0, 3.0]]))
 
     def test_no_leakage_from_heldout_rows(self):
@@ -235,7 +235,7 @@ class TestMakeViews:
             raw_mask=np.array([1, 0], dtype=np.uint8),
             encoded_mask=np.array([1.0, 0.0]),
         )
-        with pytest.raises(ViewError):
+        with pytest.raises(ArrayError):
             make_views(np.ones(3), mask)
 
 
@@ -317,5 +317,5 @@ class TestMarginalImputation:
         pp = dataclasses.replace(fit(ds, np.arange(ds.n_rows)), marginals=None)
         x = encode(pp, ds, np.arange(ds.n_rows))
         mask = sample_mask(pp, 0.5, np.random.default_rng(0))
-        with pytest.raises(ViewError):
+        with pytest.raises(ArrayError):
             make_views_marginal(x, mask, pp, np.random.default_rng(0))

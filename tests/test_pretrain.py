@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tabalign.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tabalign.data import split
-from tabalign.errors import CheckpointError, ConfigError, TrainingError
+from tabalign.errors import ArrayError, CheckpointError, ConfigError, SplitError, TrainingError
 from tabalign.fewshot import embed
 from tabalign.nncore import AdamState, work_bytes
 from tabalign.preprocess import encode, fit
@@ -80,7 +80,7 @@ class TestTargetNearestNeighbor:
             np.testing.assert_array_equal(nearest_neighbor_indices(t), _oracle(t, 1)[:, 0])
 
     def test_batch_of_one_rejected(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(ArrayError):
             nearest_neighbor_indices(np.ones((1, 3)))
 
 
@@ -331,7 +331,7 @@ class TestPretrain:
     def test_empty_validation_rejected(self, encoded_gauss):
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
-        with pytest.raises(TrainingError):
+        with pytest.raises(SplitError):
             pretrain(stack, x_train, x_train[:0], pp)
 
     def test_one_row_validation_rejected_before_training(self, encoded_gauss, monkeypatch):
@@ -340,7 +340,7 @@ class TestPretrain:
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         calls = []
         monkeypatch.setattr(pretrain_mod, "train_step", lambda *args: calls.append(args))
-        with pytest.raises(TrainingError, match="validation set"):
+        with pytest.raises(SplitError, match="validation set"):
             pretrain(stack, x_train, x_valid[:1], pp)
         assert calls == []
 
@@ -405,7 +405,7 @@ class TestEnsemble:
 
     def test_empty_ratio_list_rejected(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
-        with pytest.raises(TrainingError):
+        with pytest.raises(ConfigError):
             pretrain_ensemble(x_train, x_valid, pp, [], SMALL_CFG, master_seed=0)
 
 

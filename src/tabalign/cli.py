@@ -164,7 +164,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     out_dir = Path(args.out_dir) if args.out_dir else cfg.out_dir / f"ablate-{args.axis}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, EvalReport]] = []
 
     def pretrain_with(**changes) -> RunConfig:
@@ -209,6 +208,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             protocol = dataclasses.replace(cfg.protocol, head=head)
             rows.append((head, evaluate(stacks, pp, ds, indices, protocol)))
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     table = out_dir / f"ablation_{args.axis}.csv"
     _write_csv(
         table,

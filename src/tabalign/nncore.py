@@ -24,8 +24,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Arrays carved from one work buffer start at multiples of this many bytes.
 _ALIGN = 64
-# Side of the square tiles InfoNCE copies its transposed buffer in.
+# Side of the square tiles InfoNCE symmetrises its B x B buffer in.
 _TILE = 256
+# Elements per block that Adam updates a larger tensor in (256 KiB in float64).
+_ADAM_BLOCK = 1 << 15
 
 
 def _offsets(specs: list[tuple[tuple[int, ...], type]]) -> tuple[list[int], int]:
@@ -152,9 +154,9 @@ def mlp_backward(
 
 def infonce_work(b: int, e: int, dtype: np.dtype) -> list[tuple[tuple[int, ...], type]]:
     """What :func:`infonce_loss` carves from ``work`` for a (b, e) batch computed in
-    ``dtype``: the unit rows, then two blocks that each hold a (b, b) or a (b, e) array."""
-    side = b * max(b, e)
-    return [((b * e,), dtype), ((side,), dtype), ((side,), dtype)]
+    ``dtype``: the unit rows, one block that holds a (b, b) or a (b, e) array, and
+    one square tile of side ``min(b, _TILE)``."""
+    return [((b * e,), dtype), ((b * max(b, e),), dtype), ((min(b, _TILE) ** 2,), dtype)]
 
 
 def infonce_loss(
@@ -193,10 +195,10 @@ def infonce_loss(
         raise ArrayError("pos_index out of range")
 
     e = z.shape[1]
-    unit, first, second = carve(work, infonce_work(b, e, z.dtype))
+    unit, block, tile = carve(work, infonce_work(b, e, z.dtype))
     zhat = unit.reshape(b, e)
     # np.linalg.norm(z, axis=1): the square roots of the row sums of z * z.
-    norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=first[: b * e].reshape(b, e)), axis=1))
+    norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=block[: b * e].reshape(b, e)), axis=1))
     degenerate = norms < NORM_EPS
     safe = np.where(degenerate, 1.0, norms)
     np.divide(z, safe[:, None], out=zhat)
@@ -205,7 +207,7 @@ def infonce_loss(
     # One B x B buffer holds the logits, then their exponentials, the
     # softmax and finally the symmetrised gradient coefficients.
     rows = np.arange(b)
-    buf = np.matmul(zhat, zhat.T, out=first[: b * b].reshape(b, b))
+    buf = np.matmul(zhat, zhat.T, out=block[: b * b].reshape(b, b))
     buf /= temperature
     np.fill_diagonal(buf, -np.inf)
     row_max = buf.max(axis=1)
@@ -223,16 +225,23 @@ def infonce_loss(
     buf /= temperature * b
     buf[rows, pos] -= 1.0 / (temperature * b)
     np.fill_diagonal(buf, 0.0)
-    transposed = second[: b * b].reshape(b, b)
-    # Tile by tile: one strided copy of the whole transpose reads a column per
-    # written row and took 2.5x as long at B=1024.
+    # buf + buf.T in place, tile by tile: one strided pass over the whole
+    # transpose reads a column per written row and took 2.5x as long at B=1024.
+    # An upper tile takes the sum and its mirror a copy of it, which has the
+    # same bits; a diagonal tile adds its transpose through ``tile``.
     for i in range(0, b, _TILE):
-        for j in range(0, b, _TILE):
-            np.copyto(transposed[i : i + _TILE, j : j + _TILE], buf[j : j + _TILE, i : i + _TILE].T)
-    buf += transposed
+        diagonal = buf[i : i + _TILE, i : i + _TILE]
+        flipped = tile[: diagonal.size].reshape(diagonal.shape)
+        np.copyto(flipped, diagonal.T)
+        diagonal += flipped
+        for j in range(i + _TILE, b, _TILE):
+            upper, lower = buf[i : i + _TILE, j : j + _TILE], buf[j : j + _TILE, i : i + _TILE]
+            np.add(upper, lower.T, out=upper)
+            np.copyto(lower, upper.T)
 
     d_z = np.matmul(buf, zhat, out=out)
-    inner = np.multiply(d_z, zhat, out=second[: b * e].reshape(b, e)).sum(axis=1, keepdims=True)
+    # ``buf`` is dead once the product has read it.
+    inner = np.multiply(d_z, zhat, out=block[: b * e].reshape(b, e)).sum(axis=1, keepdims=True)
     zhat *= inner
     d_z -= zhat
     d_z /= safe[:, None]
@@ -245,8 +254,8 @@ class AdamState:
     """Gradient buffers and Adam moments laid out like one tensor list, the step count and lr.
 
     ``scratch`` maps each dtype to two rows, each as long as the largest tensor
-    of that dtype, which :func:`adam_step` computes in; ``views`` keeps the
-    views of them it took, by (dtype, shape).
+    of that dtype or ``_ADAM_BLOCK``, whichever is shorter, which :func:`adam_step`
+    computes in; ``views`` keeps the views of them it took, by (dtype, shape).
     """
 
     grads: list[np.ndarray]
@@ -261,7 +270,7 @@ class AdamState:
     def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
         sizes: dict[np.dtype, int] = {}
         for p in params:
-            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), min(p.size, _ADAM_BLOCK))
         return cls(
             grads=[np.zeros_like(p) for p in params],
             m=[np.zeros_like(p) for p in params],
@@ -284,44 +293,61 @@ def _scratch(state: AdamState, dtype: np.dtype, shape: tuple[int, ...]) -> tuple
     return views
 
 
+def _blocks(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``arrays``, C-contiguous and of one shape, as they are when they fit in one
+    ``_ADAM_BLOCK``; else the same ``_ADAM_BLOCK``-long slices of their flat views."""
+    size = arrays[0].size
+    if size <= _ADAM_BLOCK:
+        return [arrays]
+    flat = [a.reshape(-1) for a in arrays]
+    return [tuple(a[at : at + _ADAM_BLOCK] for a in flat) for at in range(0, size, _ADAM_BLOCK)]
+
+
 def adam_step(params: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update from the gradients in ``state.grads``,
     applied in place to ``params``, ``state.m`` and ``state.v``, with the
-    ``ADAM_*`` constants.
+    ``ADAM_*`` constants. A tensor longer than ``_ADAM_BLOCK`` elements is
+    updated one block of its flat view at a time; every operation is
+    elementwise, so the bits are those of one pass over the whole tensor.
 
     Raises :class:`ArrayError`, before any update, on a gradient whose
-    shape or dtype is not its parameter's or that is not finite.
+    shape or dtype is not its parameter's or that is not finite, and on a
+    tensor longer than one block that is not C-contiguous.
     Deterministic: identical inputs and state produce bitwise-identical results.
     """
     if len(params) != len(state.grads) or len(params) != len(state.m):
         raise ArrayError("parameter, gradient, and state lists disagree in length")
-    for p, g in zip(params, state.grads):
+    for p, g, m, v in zip(params, state.grads, state.m, state.v):
         if p.shape != g.shape:
             raise ArrayError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if p.dtype != g.dtype:
             raise ArrayError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
-        if not np.isfinite(g, out=_scratch(state, g.dtype, g.shape)[0]).all():
-            raise ArrayError("non-finite gradient")
+        if g.size > _ADAM_BLOCK and not all(a.flags.c_contiguous for a in (p, g, m, v)):
+            raise ArrayError(f"a tensor of {g.size} elements must be C-contiguous")
+        for (block,) in _blocks(g):
+            if not np.isfinite(block, out=_scratch(state, g.dtype, block.shape)[0]).all():
+                raise ArrayError("non-finite gradient")
 
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, state.grads, state.m, state.v):
-        # The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` and
-        # the moment updates, in their order, on the two scratch arrays ``work``
-        # (which later holds the denominator) and ``step``.
-        _, work, step = _scratch(state, g.dtype, g.shape)
-        np.multiply(g, 1.0 - ADAM_BETA1, out=work)
-        m *= ADAM_BETA1
-        m += work
-        np.square(g, out=work)
-        work *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v += work
-        np.divide(m, bc1, out=step)
-        step *= state.lr
-        np.divide(v, bc2, out=work)
-        np.sqrt(work, out=work)
-        work += ADAM_EPS
-        step /= work
-        p -= step
+    for tensors in zip(params, state.grads, state.m, state.v):
+        for p, g, m, v in _blocks(*tensors):
+            # The operations of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` and
+            # the moment updates, in their order, on the two scratch arrays ``work``
+            # (which later holds the denominator) and ``step``.
+            _, work, step = _scratch(state, g.dtype, g.shape)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=work)
+            m *= ADAM_BETA1
+            m += work
+            np.square(g, out=work)
+            work *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += work
+            np.divide(m, bc1, out=step)
+            step *= state.lr
+            np.divide(v, bc2, out=work)
+            np.sqrt(work, out=work)
+            work += ADAM_EPS
+            step /= work
+            p -= step

@@ -306,6 +306,29 @@ class Workspace:
         return cls(rows=rows, scratch=scratch, **arrays)
 
 
+@dataclass
+class RunBuffers:
+    """What a training run writes besides its stack: the step :class:`Workspace`,
+    the gradients and Adam state, and the best-epoch parameter snapshot.
+
+    Stacks of one shape and dtype can train in turn on one set.
+    """
+
+    work: Workspace
+    adam: AdamState
+    best: list[np.ndarray]
+
+    @classmethod
+    def for_stack(cls, stack: EncoderStack, rows: int) -> "RunBuffers":
+        """Buffers for a run of ``stack`` on batches of up to ``rows`` rows."""
+        params = stack.parameters()
+        return cls(
+            work=Workspace.for_stack(stack, rows),
+            adam=AdamState.for_params(params, lr=stack.cfg.learning_rate),
+            best=[np.empty_like(p) for p in params],
+        )
+
+
 def _batch_views(
     stack: EncoderStack,
     batch: np.ndarray,
@@ -426,11 +449,18 @@ def _mean_loss(rows: np.ndarray, order: np.ndarray, work: Workspace, loss_of) ->
     return total / count
 
 
+def _batch_rows(cfg: PretrainConfig, train: np.ndarray, valid: np.ndarray) -> int:
+    """Rows in the largest batch a run on ``train`` and ``valid`` takes."""
+    return min(cfg.batch_size, max(len(train), len(valid)))
+
+
 def pretrain(
     stack: EncoderStack,
     train: np.ndarray,
     valid: np.ndarray,
     pp: Preprocessor,
+    *,
+    buffers: RunBuffers | None = None,
 ) -> PretrainReport:
     """Train one stack under its own ``stack.cfg`` with validation-loss early stopping.
 
@@ -440,8 +470,10 @@ def pretrain(
     epochs without improvement (patience 0 behaves as 1) and the parameters
     from the best-validation epoch are restored. Adam starts at zero on
     every call: a second call on the same stack does not continue the
-    first call's moments. Each call builds one :class:`Workspace` that every
-    step and validation pass writes into, and one parameter snapshot.
+    first call's moments. Every step and validation pass writes into
+    ``buffers``, built for this call when None; buffers passed in must be
+    :meth:`RunBuffers.for_stack` of a stack of this one's shape and dtype,
+    for this run's batch rows.
     """
     cfg = stack.cfg
     if len(train) < 2:
@@ -449,11 +481,16 @@ def pretrain(
     if len(valid) < 2:
         raise SplitError(f"validation set needs at least 2 rows, got {len(valid)}")
 
+    batch_rows = _batch_rows(cfg, train, valid)
+    buffers = buffers or RunBuffers.for_stack(stack, batch_rows)
+    if buffers.work.rows != batch_rows:
+        raise ValueError(f"buffers for batches of {buffers.work.rows} rows, not {batch_rows}")
+    work, adam, best_params = buffers.work, buffers.adam, buffers.best
+    adam.t, adam.lr = 0, cfg.learning_rate
+    for moment in adam.m + adam.v:
+        moment.fill(0.0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([stack.seed, 1])))
-    adam = AdamState.for_params(stack.parameters(), lr=cfg.learning_rate)
     train, valid = (np.asarray(rows, dtype=cfg.numpy_dtype()) for rows in (train, valid))
-    work = Workspace.for_stack(stack, min(cfg.batch_size, max(len(train), len(valid))))
-    best_params = [np.empty_like(p) for p in stack.parameters()]
     best_loss = np.inf
     best_epoch = 0
     since_improved = 0
@@ -518,16 +555,19 @@ def pretrain_ensemble(
     """Train one independently initialized stack per separation ratio.
 
     Member k's randomness derives solely from (master_seed, k), so retraining
-    one member can never perturb another. Raises :class:`ConfigError` unless
-    ``master_seed`` is an int >= 0.
+    one member can never perturb another. The members share one shape and
+    dtype, and so train in turn on one :class:`RunBuffers`. Raises
+    :class:`ConfigError` unless ``master_seed`` is an int >= 0.
     """
     check_seed(master_seed, "master_seed")
     if not ratios:
         raise ConfigError("ensemble needs at least one separation ratio")
     stacks: list[EncoderStack] = []
     reports: list[PretrainReport] = []
+    buffers = None
     for k, ratio in enumerate(ratios):
         stack = init_stack(train.shape[1], ratio, member_seed(master_seed, k), cfg)
-        reports.append(pretrain(stack, train, valid, pp))
+        buffers = buffers or RunBuffers.for_stack(stack, _batch_rows(cfg, train, valid))
+        reports.append(pretrain(stack, train, valid, pp, buffers=buffers))
         stacks.append(stack)
     return stacks, reports

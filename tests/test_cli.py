@@ -667,6 +667,7 @@ def bad_inputs(workdir, run_dir) -> dict[str, Path]:
         ["pretrain", "--config", "{ini}", "--seed", "x", "--out-dir", "{out}"],
         ["pretrain", "--config", "{rows10}", "--out-dir", "{out}"],
         ["pretrain", "--config", "{rows12}", "--out-dir", "{out}"],
+        ["ablate", "--config", "{rows12}", "--axis", "classifier", "--out-dir", "{out}"],
         ["eval", "{truncated}", "--config", "{ini}", "--out", "{out}/eval.csv"],
         ["analyze", "{truncated}", "--config", "{ini}", "--out-dir", "{out}"],
         ["pretrain", "--config", "{ini_ff}", "--out-dir", "{out}"],
@@ -677,7 +678,7 @@ def bad_inputs(workdir, run_dir) -> dict[str, Path]:
     ],
     ids=["gen-data-seed", "gen-data-separation", "theory-seed", "analyze-seed", "eval-n-way",
          "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed", "pretrain-10-rows",
-         "pretrain-12-rows", "eval-truncated-checkpoint", "analyze-truncated-checkpoint",
+         "pretrain-12-rows", "ablate-12-rows", "eval-truncated-checkpoint", "analyze-truncated-checkpoint",
          "ini-not-utf8", "schema-not-utf8", "csv-header-not-utf8", "csv-body-not-utf8",
          "csv-field-over-limit"],
 )

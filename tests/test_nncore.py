@@ -10,6 +10,8 @@ import pytest
 
 from tabalign.errors import ArrayError
 from tabalign.nncore import (
+    _ADAM_BLOCK,
+    _TILE,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
@@ -341,16 +343,17 @@ class TestInfoNCE:
         assert z.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("b", [3, 300])
+    @pytest.mark.parametrize("b", [3, 100, 300, 513])
     def test_caller_buffers_give_the_same_bits(self, b, dtype):
         """``out`` receives the gradient and ``work`` the temporaries, for a batch
-        narrower (3) and wider (300) than the embedding."""
+        narrower (3) and wider than the embedding: under one InfoNCE tile (100),
+        and over two (300) and three (513) tiles whose last is ragged."""
         rng = np.random.default_rng(b)
         z = rng.normal(size=(b, 48)).astype(dtype)
         z[1] = 0.0
         pos = (np.arange(b) + 1) % b
         before = z.copy()
-        ref_loss, ref_d_z = infonce_loss(z, pos, temperature=0.1)
+        ref_loss, ref_d_z = _reference_infonce_loss(z, pos, 0.1)
         out = np.full((b, 48), np.nan, dtype)
         work = np.full(work_bytes(infonce_work(b, 48, dtype)), 255, np.uint8)
         loss, d_z = infonce_loss(z, pos, temperature=0.1, out=out, work=work)
@@ -358,6 +361,13 @@ class TestInfoNCE:
         assert loss == ref_loss
         assert d_z.tobytes() == ref_d_z.tobytes()
         assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("b,e", [(2, 48), (100, 300), (300, 48), (1024, 256)])
+    def test_work_is_the_unit_rows_one_block_and_one_tile(self, b, e, dtype):
+        size = np.dtype(dtype).itemsize
+        padded = [-(-n * size // 64) * 64 for n in (b * e, b * max(b, e), min(b, _TILE) ** 2)]
+        assert work_bytes(infonce_work(b, e, dtype)) == sum(padded)
 
     @pytest.mark.parametrize("b", [256, 1024])
     def test_float32_agrees_with_float64_on_the_same_values(self, b):
@@ -383,12 +393,12 @@ class TestInfoNCE:
         with pytest.raises(ValueError, match="short"):
             carve(np.empty(63, np.uint8), [((2, 4), np.float64)])
 
-    def test_peak_memory_is_one_square_buffer_and_its_transpose(self):
+    def test_peak_memory_is_one_square_buffer(self):
         b = 512
         rng = np.random.default_rng(0)
         z = rng.normal(size=(b, 64))
         pos = (np.arange(b) + 1) % b
-        assert _peak_traced_bytes(lambda: infonce_loss(z, pos)) < 3 * b * b * 8
+        assert _peak_traced_bytes(lambda: infonce_loss(z, pos)) < 2 * b * b * 8
 
     def test_contract_violations(self):
         with pytest.raises(ArrayError):
@@ -506,11 +516,54 @@ class TestAdam:
         assert state.t == 0
 
     def test_scratch_holds_two_rows_per_dtype_of_the_largest_tensor(self):
-        params = [np.zeros((3, 4)), np.zeros(5), np.zeros(7, dtype=np.float32)]
+        """Rows as long as the largest tensor of their dtype, or as one block."""
+        params = [np.zeros((3, 4)), np.zeros(5), np.zeros(7, dtype=np.float32),
+                  np.zeros(3 * _ADAM_BLOCK + 1, dtype=np.float32)]
         state = AdamState.for_params(params, lr=0.01)
         assert {dtype: rows.shape for dtype, rows in state.scratch.items()} == {
-            np.dtype(np.float64): (2, 12), np.dtype(np.float32): (2, 7),
+            np.dtype(np.float64): (2, 12), np.dtype(np.float32): (2, _ADAM_BLOCK),
         }
+
+    # Under one block, exactly two blocks, and two blocks plus a remainder.
+    BLOCK_SHAPES = [(40, 25), (256, _ADAM_BLOCK // 128), (2 * _ADAM_BLOCK + 777,)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocks_give_reference_bits(self, dtype):
+        rng = np.random.default_rng(12)
+        params = [rng.normal(size=shape).astype(dtype) for shape in self.BLOCK_SHAPES]
+        ref_params = [p.copy() for p in params]
+        state = AdamState.for_params(params, lr=0.001)
+        ref_state = AdamState.for_params(ref_params, lr=0.001)
+        for _ in range(20):
+            grads = [rng.normal(size=shape).astype(dtype) for shape in self.BLOCK_SHAPES]
+            for buffer, g in zip(state.grads, grads):
+                buffer[...] = g
+            adam_step(params, state)
+            _reference_adam_step(ref_params, grads, ref_state)
+        for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
+            assert got.tobytes() == want.tobytes()
+        assert state.t == 20
+
+    def test_nonfinite_gradient_in_the_last_block_changes_nothing(self):
+        rng = np.random.default_rng(13)
+        params = [rng.normal(size=shape) for shape in self.BLOCK_SHAPES]
+        state = AdamState.for_params(params, lr=0.001)
+        for tensors in (state.grads, state.m, state.v):
+            for t in tensors:
+                t[...] = rng.uniform(0.5, 1.0, size=t.shape)
+        state.grads[-1][-1] = np.nan
+        before = [a.copy() for a in params + state.m + state.v]
+        with pytest.raises(ArrayError, match="non-finite"):
+            adam_step(params, state)
+        assert state.t == 0
+        assert [a.tobytes() for a in params + state.m + state.v] == [a.tobytes() for a in before]
+
+    def test_noncontiguous_tensor_over_one_block_raises(self):
+        theta = np.zeros((2, 2 * _ADAM_BLOCK))[:, ::2]
+        state = AdamState.for_params([theta], lr=0.01)
+        with pytest.raises(ArrayError, match="contiguous"):
+            adam_step([theta], state)
+        assert state.t == 0
 
     def test_nonfinite_gradient_fails_fast(self):
         theta = np.array([1.0])

@@ -25,6 +25,7 @@ from tabalign.preprocess import encode, fit
 from tabalign.pretrain import (
     RATIO_RANDOM,
     PretrainConfig,
+    RunBuffers,
     Workspace,
     init_stack,
     member_seed,
@@ -191,14 +192,24 @@ class TestTrainStep:
 
     def test_desk_workspace_is_within_the_one_step_peak_it_replaces(self):
         """Buffers that are never live at once share memory, so the desk-shape
-        workspace (40.5 MiB) stays within the 41.1 MiB that one step allocated
-        before it had a workspace."""
-        stack = init_stack(32, 0.2, seed=0, cfg=PretrainConfig(batch_size=1024))
-        work = Workspace.for_stack(stack, 1024)
+        workspace (33.75 MiB) stays within the 41.1 MiB that one step allocated
+        before it had a workspace. Its three regions are the live activations,
+        the projector output beside its gradient, and the scratch, which the
+        backward deltas and masks fill: InfoNCE's unit rows, one B x B block and
+        one tile need less, so a second B x B buffer would show here."""
+        rows, d, hidden, e, f8 = 1024, 32, 1024, 256, 8
+        stack = init_stack(d, 0.2, seed=0, cfg=PretrainConfig(batch_size=rows))
+        work = Workspace.for_stack(stack, rows)
+        live = rows * (d + 2 * hidden + e + d) * f8
+        shared = 2 * rows * e * f8
+        backward = rows * (hidden + e + d) * f8 + rows * hidden
+        infonce = (rows * e + rows * rows + 256 * 256) * f8
+        assert infonce < backward == work.scratch.nbytes
         arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
         regions = {id(r): r for r in (a if a.base is None else a.base for a in arrays)}
         assert len(regions) == 3
-        assert sum(r.nbytes for r in regions.values()) <= 41.1 * 2**20
+        assert sum(r.nbytes for r in regions.values()) == live + shared + backward
+        assert live + shared + backward == 33.75 * 2**20 <= 41.1 * 2**20
 
     def test_float32_workspace_holds_no_float64_array(self):
         cfg = PretrainConfig(hidden_dim=16, embed_dim=8, projector_dim=8, dtype="float32")
@@ -389,6 +400,36 @@ class TestEnsemble:
         pretrain(solo, x_train, x_valid, pp)
         for p, q in zip(both[1].parameters(), solo.parameters()):
             assert p.tobytes() == q.tobytes()
+
+    def test_members_share_one_buffer_set_and_each_starts_adam_at_zero(
+        self, encoded_gauss, monkeypatch
+    ):
+        pp, x_train, x_valid = encoded_gauss
+        cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 2})
+        starts, states, works = [], set(), set()
+        adam_step, train_step = pretrain_mod.adam_step, pretrain_mod.train_step
+
+        def adam_spy(params, state):
+            if state.t == 0:
+                starts.append(all(not m.any() and not v.any() for m, v in zip(state.m, state.v)))
+            states.add(id(state))
+            return adam_step(params, state)
+
+        def step_spy(*args, work):
+            works.add(id(work))
+            return train_step(*args, work=work)
+
+        monkeypatch.setattr(pretrain_mod, "adam_step", adam_spy)
+        monkeypatch.setattr(pretrain_mod, "train_step", step_spy)
+        pretrain_ensemble(x_train, x_valid, pp, [0.2, 0.3, 0.4], cfg, master_seed=2)
+        assert starts == [True, True, True]
+        assert len(states) == len(works) == 1
+
+    def test_buffers_for_other_batch_rows_rejected(self, encoded_gauss):
+        pp, x_train, x_valid = encoded_gauss
+        stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
+        with pytest.raises(ValueError, match="rows"):
+            pretrain(stack, x_train, x_valid, pp, buffers=RunBuffers.for_stack(stack, 32))
 
     def test_member_seed_is_one_seed_sequence_draw(self):
         for keys in ((1, 1), (0, 3, 7, 1)):
@@ -803,10 +844,13 @@ class TestCheckpoint:
 
 
 # sha256 of the members' checkpoint bytes and of their loss curves (float64
-# bytes) from three small ensembles. Every matrix product stays below
-# OpenBLAS's threading threshold, so the bytes do not depend on the BLAS
-# thread count. Each run leaves a short last batch in one pass and a skipped
-# 1-row batch in the other.
+# bytes) from small ensembles. In the first three every matrix product stays
+# below OpenBLAS's threading threshold, so the bytes do not depend on the BLAS
+# thread count; each leaves a short last batch in one pass and a skipped 1-row
+# batch in the other. The fourth trains batches of 300 and 150 rows, so
+# InfoNCE spans two tiles with a ragged edge, and tensors of 3 Adam blocks and
+# a remainder. Its products are threaded, and float64 bytes there differ
+# between 1 and 2 BLAS threads; float32 bytes do not.
 PINNED_RUNS = {
     "float64-zero": (
         dict(dtype="float64", imputation="zero"), [0.25, 0.5], 65, 45,
@@ -823,6 +867,12 @@ PINNED_RUNS = {
         "485afaf1ef254239a6cc6ab8f2b3555fb14d65fe6df9a6888c1510b90c16b602",
         "178408943ec27c76e8113fda18ce60fb47f0de96e28b059b93fa7a7a9305a714",
     ),
+    "float32-wide-batch": (
+        dict(dtype="float32", batch_size=300, hidden_dim=400, embed_dim=256, projector_dim=256),
+        [0.3, 0.5], 450, 50,
+        "7c64461481f09de750fec3df1118ee6107e5f56173940df3e3d90ccdb389f26a",
+        "6a0e785f3b26a4c6b903230e22ccc9c1a1e46551ecd668bcf560d122fad4669f",
+    ),
 }
 
 
@@ -836,10 +886,8 @@ def test_pinned_output_bytes(run, tmp_path):
     pp = fit(ds, idx.train)
     x_train = encode(pp, ds, idx.train)[:n_train]
     x_valid = encode(pp, ds, idx.valid)[:n_valid]
-    cfg = PretrainConfig(
-        max_epochs=4, batch_size=32, patience=2, hidden_dim=16, embed_dim=8, projector_dim=8,
-        **change,
-    )
+    small = dict(max_epochs=4, batch_size=32, patience=2, hidden_dim=16, embed_dim=8, projector_dim=8)
+    cfg = PretrainConfig(**{**small, **change})
     stacks, reports = pretrain_ensemble(x_train, x_valid, pp, ratios, cfg, master_seed=9)
     ckpt, losses = hashlib.sha256(), hashlib.sha256()
     for k, (stack, report) in enumerate(zip(stacks, reports)):

@@ -133,8 +133,10 @@ def mlp_backward(
     the network input (all of them when None, an empty array when 0); the
     other columns are not computed. ``d_out`` is only read. The gradient with
     respect to layer i's input goes into ``out[i]`` when that is given, and
-    the ReLU masks are carved from ``work``; no ``out[i]`` may share memory
-    with ``out[i + 1]`` or ``d_out``.
+    the ReLU masks are carved from ``work``. ``out[i]`` may be the layer's own
+    input ``cache[i][0]``, which the call then overwrites: layer i reads its
+    input and, for i > 0, takes its ReLU mask before it writes ``out[i]``. No
+    ``out[i]`` may share memory with ``out[i + 1]`` or ``d_out``.
     """
     d_z = np.asarray(d_out)
     d_in = d_z
@@ -142,12 +144,14 @@ def mlp_backward(
         h_in, _ = cache[i]
         np.matmul(d_z.T, h_in, out=grads[2 * i])
         np.sum(d_z, axis=0, out=grads[2 * i + 1])
-        weight = layers[i].weight if i > 0 else layers[i].weight[:, :input_cols]
-        d_in = np.matmul(d_z, weight, out=None if out is None else out[i])
         if i > 0:
             act = cache[i - 1][1]
             (active,) = carve(work, [(act.shape, np.bool_)])
-            d_in *= np.greater(act, 0.0, out=active)
+            np.greater(act, 0.0, out=active)
+        weight = layers[i].weight if i > 0 else layers[i].weight[:, :input_cols]
+        d_in = np.matmul(d_z, weight, out=None if out is None else out[i])
+        if i > 0:
+            d_in *= active
             d_z = d_in
     return d_in
 
@@ -178,7 +182,8 @@ def infonce_loss(
     with ``grad=False`` the gradient is not computed and None comes back in
     its place. A float32 ``z`` is scored and differentiated in float32, any
     other in float64, and the gradient has that dtype. The temporaries are
-    carved from ``work`` as :func:`infonce_work` lays them out; ``z`` is only read.
+    carved from ``work`` as :func:`infonce_work` lays them out. ``z`` is only
+    read, and only until the unit rows are formed, so ``out`` may be ``z``.
     """
     z = np.asarray(z)
     if z.dtype != np.float32:
@@ -253,6 +258,9 @@ def infonce_loss(
 class AdamState:
     """Gradient buffers and Adam moments laid out like one tensor list, the step count and lr.
 
+    The gradients may be views of a buffer the caller reuses between steps
+    (:meth:`for_params` takes them); :func:`adam_step` only reads them.
+
     ``scratch`` maps each dtype to two rows, each as long as the largest tensor
     of that dtype or ``_ADAM_BLOCK``, whichever is shorter, which :func:`adam_step`
     computes in; ``views`` keeps the views of them it took, by (dtype, shape).
@@ -267,12 +275,16 @@ class AdamState:
     views: dict[tuple, tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
+    def for_params(
+        cls, params: list[np.ndarray], lr: float, *, grads: list[np.ndarray] | None = None
+    ) -> "AdamState":
+        """Step 0 with zero moments for ``params``; the gradient buffers are ``grads``,
+        laid out like ``params``, when given, else zeros of their own."""
         sizes: dict[np.dtype, int] = {}
         for p in params:
             sizes[p.dtype] = max(sizes.get(p.dtype, 0), min(p.size, _ADAM_BLOCK))
         return cls(
-            grads=[np.zeros_like(p) for p in params],
+            grads=[np.zeros_like(p) for p in params] if grads is None else grads,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             t=0,

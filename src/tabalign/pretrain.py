@@ -244,12 +244,18 @@ class Workspace:
     """The buffers of a training run's steps, for batches of up to ``rows`` rows.
 
     A step writes the leading rows of each buffer. Every array, the views and
-    InfoNCE's gradient included, has the stack's dtype, and so do the pairing
-    and InfoNCE temporaries carved from ``scratch``. Buffers that are never
-    live at once share memory: the gathered batch and the target view, then
-    the encoder output of a conditioned stack, then the projector output and
-    its gradient; and in ``scratch`` the pairing search, then InfoNCE, then
-    the backward deltas and ReLU masks.
+    the gradients included, has the stack's dtype, and so do the pairing and
+    InfoNCE temporaries carved from ``scratch``. Buffers that are never live
+    at once share memory: the gathered batch and the target view, then the
+    encoder output of a conditioned stack, then the projector output; and in
+    ``scratch`` the pairing search, then InfoNCE, then the ReLU masks beside
+    ``grads``, the gradients laid out like ``stack.parameters()``. These hold
+    a step's gradient from its backward pass until the next step's pairing.
+    The backward pass writes each delta over an activation it has read:
+    InfoNCE's gradient over the projector output, the projector's hidden
+    delta over its hidden activation, the embedding columns' gradient over
+    those columns of the projector input, and the encoder's hidden delta over
+    its hidden activation.
     """
 
     rows: int
@@ -261,10 +267,8 @@ class Workspace:
     proj_in: np.ndarray
     proj_hidden: np.ndarray
     z: np.ndarray
-    d_z: np.ndarray
-    d_proj_in: np.ndarray
-    d_hidden: np.ndarray
     masks: np.ndarray
+    grads: list[np.ndarray]
     scratch: np.ndarray
 
     @classmethod
@@ -278,38 +282,32 @@ class Workspace:
                 "proj_hidden": ((rows, hidden), dtype)}
         # Groups that share one region: each is dead before the next is written.
         shared = [{"batch": ((rows, d), dtype), "x_t": ((rows, d), dtype)},
-                  {"z": ((rows, p_out), dtype), "d_z": ((rows, p_out), dtype)}]
+                  {"z": ((rows, p_out), dtype)}]
         embed = {"embed": ((rows, e), dtype)}
         if stack.conditioned:
             live["proj_in"] = ((rows, p_in), dtype)
             shared.append(embed)
         else:
             live.update(embed)
-        masks = work_bytes([((rows, hidden), np.bool_)])
-        backward = {"d_hidden": ((rows, hidden), dtype), "d_proj_in": ((rows, p_in), dtype),
-                    "masks": ((masks,), np.uint8)}
-        kernels = [nearest_neighbors_work(rows, rows, d, dtype), infonce_work(rows, p_out, dtype)]
         arrays: dict[str, np.ndarray] = {}
-
-        def lay(groups: list[dict], least: int = 0) -> np.ndarray:
-            """One byte region that each of ``groups`` is carved from in turn."""
-            size = max([least] + [work_bytes(list(group.values())) for group in groups])
-            region = np.empty(size, np.uint8)
+        for groups in ([live], shared):
+            region = np.empty(max(work_bytes(list(group.values())) for group in groups), np.uint8)
             for group in groups:
                 arrays.update(zip(group, carve(region, list(group.values()))))
-            return region
-
-        lay([live])
-        lay(shared)
-        scratch = lay([backward], least=max(map(work_bytes, kernels)))
+        masks = work_bytes([((rows, hidden), np.bool_)])
+        backward = [((masks,), np.uint8)] + [(p.shape, dtype) for p in stack.parameters()]
+        kernels = [nearest_neighbors_work(rows, rows, d, dtype), infonce_work(rows, p_out, dtype)]
+        scratch = np.empty(max(map(work_bytes, kernels + [backward])), np.uint8)
+        arrays["masks"], *grads = carve(scratch, backward)
         arrays.setdefault("proj_in", arrays["embed"])
-        return cls(rows=rows, scratch=scratch, **arrays)
+        return cls(rows=rows, grads=grads, scratch=scratch, **arrays)
 
 
 @dataclass
 class RunBuffers:
     """What a training run writes besides its stack: the step :class:`Workspace`,
-    the gradients and Adam state, and the best-epoch parameter snapshot.
+    the Adam state, whose gradients are the workspace's, and the best-epoch
+    parameter snapshot.
 
     Stacks of one shape and dtype can train in turn on one set.
     """
@@ -322,9 +320,10 @@ class RunBuffers:
     def for_stack(cls, stack: EncoderStack, rows: int) -> "RunBuffers":
         """Buffers for a run of ``stack`` on batches of up to ``rows`` rows."""
         params = stack.parameters()
+        work = Workspace.for_stack(stack, rows)
         return cls(
-            work=Workspace.for_stack(stack, rows),
-            adam=AdamState.for_params(params, lr=stack.cfg.learning_rate),
+            work=work,
+            adam=AdamState.for_params(params, lr=stack.cfg.learning_rate, grads=work.grads),
             best=[np.empty_like(p) for p in params],
         )
 
@@ -363,7 +362,7 @@ def composite_loss(
     dtype, cast when it has another. With ``grads``, laid out like
     ``stack.parameters()``, the full analytic parameter gradient lands in it.
     Activations and deltas go into ``work``'s leading rows (a workspace of
-    its own when None).
+    its own when None); the deltas overwrite the activations.
     """
     dtype = stack.cfg.numpy_dtype()
     x_f = np.asarray(x_f, dtype=dtype)
@@ -377,19 +376,20 @@ def composite_loss(
         proj_in = h
     z, proj_cache = mlp_forward(stack.projector, proj_in, out=[work.proj_hidden[:n], work.z[:n]])
     loss, d_z = infonce_loss(
-        z, pos, stack.cfg.temperature, grad=grads is not None, out=work.d_z[:n], work=work.scratch
+        z, pos, stack.cfg.temperature, grad=grads is not None, out=z, work=work.scratch
     )
     if grads is not None:
         # Only the embedding columns of the projector's input gradient reach
-        # the encoder, and nothing reads the encoder's input gradient.
+        # the encoder, and nothing reads the encoder's input gradient. Each
+        # layer's input gradient is written over that layer's input.
         k, e = 2 * len(stack.encoder), stack.embed_dim
         d_h = mlp_backward(
             stack.projector, proj_cache, d_z, grads[k:], input_cols=e,
-            out=[work.d_proj_in[:n, :e], work.d_hidden[:n]], work=work.masks,
+            out=[proj_in[:, :e], work.proj_hidden[:n]], work=work.masks,
         )
         mlp_backward(
             stack.encoder, enc_cache, d_h, grads[:k], input_cols=0,
-            out=[None, work.d_hidden[:n]], work=work.masks,
+            out=[None, work.enc_hidden[:n]], work=work.masks,
         )
     return loss
 
@@ -473,7 +473,8 @@ def pretrain(
     first call's moments. Every step and validation pass writes into
     ``buffers``, built for this call when None; buffers passed in must be
     :meth:`RunBuffers.for_stack` of a stack of this one's shape and dtype,
-    for this run's batch rows.
+    for this run's batch rows, else ``ValueError`` is raised before any is
+    written.
     """
     cfg = stack.cfg
     if len(train) < 2:
@@ -485,6 +486,10 @@ def pretrain(
     buffers = buffers or RunBuffers.for_stack(stack, batch_rows)
     if buffers.work.rows != batch_rows:
         raise ValueError(f"buffers for batches of {buffers.work.rows} rows, not {batch_rows}")
+    layout = [(p.shape, p.dtype) for p in stack.parameters()]
+    held = (buffers.best, buffers.work.grads, buffers.adam.grads, buffers.adam.m, buffers.adam.v)
+    if any([(t.shape, t.dtype) for t in tensors] != layout for tensors in held):
+        raise ValueError("buffers built for a stack of another shape or dtype")
     work, adam, best_params = buffers.work, buffers.adam, buffers.best
     adam.t, adam.lr = 0, cfg.learning_rate
     for moment in adam.m + adam.v:

@@ -1,5 +1,5 @@
-"""The README's config reference, output files, checkpoint header, head table and
-exit codes against the code."""
+"""The README's config reference, output files, checkpoint header, head table, exit
+codes and desk buffer sizes against the code."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tabalign.checkpoint import save_checkpoint
@@ -18,8 +19,9 @@ from tabalign.cli import _OVERRIDES, main
 from tabalign.config import _KEYS
 from tabalign.errors import TabAlignError, UsageError
 from tabalign.fewshot import finetune_probs, knn_probs, linear_probe_probs, prototype_probs
+from tabalign.nncore import AdamState
 from tabalign.preprocess import fit
-from tabalign.pretrain import PretrainConfig, init_stack
+from tabalign.pretrain import PretrainConfig, Workspace, init_stack
 from tabalign.synthetic import make_gaussian_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -86,6 +88,22 @@ def test_kernel_list_names_each_kernel_with_its_parameters():
         for attribute in rest:
             target = getattr(target, attribute)
         assert [p.split("=")[0] for p in params.split(", ")] == _parameter_names(target), name
+
+
+def test_desk_buffer_sizes_are_those_the_code_builds():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = re.search(
+        r"At the desk shape \(B=1024, float64, 32 encoded columns\) the workspace is "
+        r"([\d.]+) MiB and Adam's scratch ([\d.]+) MiB", text
+    )
+    assert stated, "the README states no desk workspace and Adam scratch size"
+    stack = init_stack(32, 0.2, 0, PretrainConfig(batch_size=1024, dtype="float64"))
+    work = Workspace.for_stack(stack, 1024)
+    arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+    regions = {id(r): r for r in (a if a.base is None else a.base for a in arrays)}
+    adam = AdamState.for_params(stack.parameters(), lr=stack.cfg.learning_rate)
+    built = [sum(r.nbytes for r in regions.values()), sum(a.nbytes for a in adam.scratch.values())]
+    assert [float(size) for size in stated.groups()] == [round(n / 2**20, 2) for n in built]
 
 
 def test_output_files_table_lists_the_headers_the_commands_write(tmp_path):

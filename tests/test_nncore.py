@@ -280,6 +280,39 @@ class TestMlpForward:
         assert d_x.tobytes() == ref_d_x.tobytes()
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width,input_cols", [(12, None), (12, 0), (12, 8), (8, 8)])
+    def test_out_may_be_each_layers_own_input(self, width, input_cols, dtype):
+        """With ``out[i]`` set to ``cache[i][0]`` the call overwrites each layer's
+        input with the bytes it writes into fresh outputs. The input holds 8
+        embedding columns, beside 4 mask columns as a conditioned projector's
+        does (width 12); small integer weights make many activations exactly 0."""
+        rng = np.random.default_rng(width + (input_cols or 99))
+        dims = (width, 9, 7, 4)
+        layers = [
+            DenseLayer(
+                rng.integers(-1, 2, size=(dims[i + 1], dims[i])).astype(dtype),
+                rng.integers(-1, 2, size=dims[i + 1]).astype(dtype),
+            )
+            for i in range(len(dims) - 1)
+        ]
+        x = rng.integers(-2, 3, size=(30, width)).astype(dtype)
+        d_out = rng.normal(size=(30, dims[-1])).astype(dtype)
+        cols = width if input_cols is None else input_cols
+        _, cache = mlp_forward(layers, x.copy())
+        ref_grads = _grads_for(layers)
+        fresh = [np.full((30, n), np.nan, dtype) for n in (cols, *dims[1:-1])]
+        mlp_backward(layers, cache, d_out, ref_grads, input_cols=input_cols, out=fresh)
+
+        _, cache = mlp_forward(layers, x.copy())
+        assert all((act == 0.0).any() for _, act in cache[:-1])
+        inputs = [cache[0][0][:, :cols]] + [h for h, _ in cache[1:]]
+        grads = _grads_for(layers)
+        d_x = mlp_backward(layers, cache, d_out, grads, input_cols=input_cols, out=inputs)
+        assert d_x is inputs[0]
+        assert [a.tobytes() for a in inputs] == [a.tobytes() for a in fresh]
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
     def test_peak_memory_is_outputs_and_cache(self):
         """32 -> 1024 -> 256 on 1024 rows allocates the hidden activation and the
         output, and no pre-activation copy beside them."""
@@ -361,6 +394,25 @@ class TestInfoNCE:
         assert loss == ref_loss
         assert d_z.tobytes() == ref_d_z.tobytes()
         assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("b", [3, 300, 513])
+    def test_out_may_be_z(self, b, dtype):
+        """With ``out=z`` the gradient overwrites ``z`` with the bytes a separate
+        ``out`` receives; with ``grad=False`` ``z`` is left as it was."""
+        rng = np.random.default_rng(b)
+        z = rng.normal(size=(b, 48)).astype(dtype)
+        z[1] = 0.0
+        pos = (np.arange(b) + 1 + rng.integers(b - 1, size=b)) % b
+        work = np.empty(work_bytes(infonce_work(b, 48, dtype)), np.uint8)
+        ref_loss, ref_d_z = infonce_loss(z, pos, temperature=0.1, out=np.empty_like(z), work=work)
+        before = z.copy()
+        loss, d_z = infonce_loss(z, pos, temperature=0.1, grad=False, out=z, work=work)
+        assert d_z is None and loss == ref_loss
+        assert z.tobytes() == before.tobytes()
+        loss, d_z = infonce_loss(z, pos, temperature=0.1, out=z, work=work)
+        assert d_z is z and loss == ref_loss
+        assert z.tobytes() == ref_d_z.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("b,e", [(2, 48), (100, 300), (300, 48), (1024, 256)])

@@ -20,13 +20,14 @@ from tabalign.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tabalign.data import split
 from tabalign.errors import ArrayError, CheckpointError, ConfigError, SplitError, TrainingError
 from tabalign.fewshot import embed
-from tabalign.nncore import AdamState, work_bytes
-from tabalign.preprocess import encode, fit
+from tabalign.nncore import AdamState, infonce_loss, mlp_backward, mlp_forward, work_bytes
+from tabalign.preprocess import encode, fit, make_views, sample_mask
 from tabalign.pretrain import (
     RATIO_RANDOM,
     PretrainConfig,
     RunBuffers,
     Workspace,
+    composite_loss,
     init_stack,
     member_seed,
     nearest_neighbor_indices,
@@ -191,25 +192,31 @@ class TestTrainStep:
         assert peak < 1 << 20
 
     def test_desk_workspace_is_within_the_one_step_peak_it_replaces(self):
-        """Buffers that are never live at once share memory, so the desk-shape
-        workspace (33.75 MiB) stays within the 41.1 MiB that one step allocated
-        before it had a workspace. Its three regions are the live activations,
-        the projector output beside its gradient, and the scratch, which the
-        backward deltas and masks fill: InfoNCE's unit rows, one B x B block and
-        one tile need less, so a second B x B buffer would show here."""
+        """Buffers that are never live at once share memory, and the backward
+        pass writes its deltas over activations it has read, so the desk-shape
+        workspace (31.0 MiB, the run's gradients inside) stays within the
+        41.1 MiB that one step allocated before it had a workspace. Its three
+        regions are the live activations, the projector output, and the
+        scratch, which InfoNCE's unit rows, one B x B block and one tile fill:
+        the pairing search and the ReLU masks beside the gradients need less,
+        so a second B x B buffer would show here."""
         rows, d, hidden, e, f8 = 1024, 32, 1024, 256, 8
         stack = init_stack(d, 0.2, seed=0, cfg=PretrainConfig(batch_size=rows))
-        work = Workspace.for_stack(stack, rows)
+        buffers = RunBuffers.for_stack(stack, rows)
+        work = buffers.work
         live = rows * (d + 2 * hidden + e + d) * f8
-        shared = 2 * rows * e * f8
-        backward = rows * (hidden + e + d) * f8 + rows * hidden
+        shared = rows * e * f8
+        backward = rows * hidden + sum(p.nbytes for p in stack.parameters())
+        pairing = (2 * rows * d + rows * rows) * f8 + rows * rows
         infonce = (rows * e + rows * rows + 256 * 256) * f8
-        assert infonce < backward == work.scratch.nbytes
+        assert backward < pairing < infonce == work.scratch.nbytes
         arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
         regions = {id(r): r for r in (a if a.base is None else a.base for a in arrays)}
         assert len(regions) == 3
-        assert sum(r.nbytes for r in regions.values()) == live + shared + backward
-        assert live + shared + backward == 33.75 * 2**20 <= 41.1 * 2**20
+        assert sum(r.nbytes for r in regions.values()) == live + shared + infonce
+        assert live + shared + infonce == 31.0 * 2**20 <= 41.1 * 2**20
+        assert buffers.adam.grads is work.grads
+        assert all(np.shares_memory(g, work.scratch) for g in buffers.adam.grads)
 
     def test_float32_workspace_holds_no_float64_array(self):
         cfg = PretrainConfig(hidden_dim=16, embed_dim=8, projector_dim=8, dtype="float32")
@@ -228,6 +235,36 @@ class TestTrainStep:
             losses = [train_step(stack, x_train[:n], pp, rng, adam, work=work) for n in (40, 2, 64)]
             results.append((losses, b"".join(p.tobytes() for p in stack.parameters())))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("conditioned", [True, False])
+    def test_deltas_over_activations_give_the_gradients_of_fresh_buffers(
+        self, encoded_gauss, conditioned
+    ):
+        """``composite_loss`` writes each delta over an activation in its
+        workspace, and gives the loss and gradients that the kernels give on
+        fresh outputs."""
+        pp, x_train, _ = encoded_gauss
+        cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "conditioned": conditioned})
+        stack = init_stack(pp.encoded_dim, 0.3, seed=5, cfg=cfg)
+        rng = np.random.default_rng(5)
+        mask = sample_mask(pp, 0.3, rng)
+        x_f, x_t = make_views(x_train[:50], mask)
+        mask_vec, pos = mask.encoded_mask, nearest_neighbor_indices(x_t)
+
+        h, enc_cache = mlp_forward(stack.encoder, x_f)
+        cond = np.broadcast_to(mask_vec, (50, len(mask_vec)))
+        proj_in = np.concatenate([h, cond], axis=1) if conditioned else h
+        z, proj_cache = mlp_forward(stack.projector, proj_in)
+        ref_loss, d_z = infonce_loss(z, pos, cfg.temperature)
+        ref = [np.empty_like(p) for p in stack.parameters()]
+        d_h = mlp_backward(stack.projector, proj_cache, d_z, ref[4:], input_cols=cfg.embed_dim)
+        mlp_backward(stack.encoder, enc_cache, d_h, ref[:4])
+
+        grads = [np.empty_like(p) for p in stack.parameters()]
+        work = Workspace.for_stack(stack, 64)
+        loss = composite_loss(stack, x_f, mask_vec, pos, grads, work=work)
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref]
 
     def test_loss_decreases_over_steps(self, encoded_gauss):
         """200 steps on clustered data end below the first-step loss."""
@@ -430,6 +467,27 @@ class TestEnsemble:
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         with pytest.raises(ValueError, match="rows"):
             pretrain(stack, x_train, x_valid, pp, buffers=RunBuffers.for_stack(stack, 32))
+
+    @pytest.mark.parametrize(
+        "stack_cfg,buffers_cfg", [({"dtype": "float32"}, {}), ({}, {"hidden_dim": 48})]
+    )
+    def test_buffers_for_another_shape_or_dtype_rejected_before_any_write(
+        self, encoded_gauss, stack_cfg, buffers_cfg
+    ):
+        """Float64 buffers for a float32 stack, and buffers for a wider hidden
+        layer, are refused before the run writes to them or to the stack."""
+        pp, x_train, x_valid = encoded_gauss
+        stack, other = (
+            init_stack(pp.encoded_dim, 0.2, 0, PretrainConfig(**{**SMALL_CFG.__dict__, **c}))
+            for c in (stack_cfg, buffers_cfg)
+        )
+        buffers = RunBuffers.for_stack(other, SMALL_CFG.batch_size)
+        buffers.adam.t = 7
+        before = [p.copy() for p in stack.parameters()]
+        with pytest.raises(ValueError, match="another shape or dtype"):
+            pretrain(stack, x_train, x_valid, pp, buffers=buffers)
+        assert buffers.adam.t == 7
+        assert all(p.tobytes() == b.tobytes() for p, b in zip(stack.parameters(), before))
 
     def test_member_seed_is_one_seed_sequence_draw(self):
         for keys in ((1, 1), (0, 3, 7, 1)):

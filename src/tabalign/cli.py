@@ -190,18 +190,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         # aggregate modes, regardless of the configured deployment ensemble.
         sweep = dataclasses.replace(cfg, ratios=list(DEFAULT_RATIOS) + [RATIO_RANDOM])
         stacks, pp, ds, indices = _train_ensemble(sweep, out_dir / "members")
-        fixed, random_member = stacks[:-1], stacks[-1]
-        for stack in fixed:
-            rows.append(
-                (
-                    _ratio_tag(stack.ratio),
-                    evaluate([stack], pp, ds, indices, cfg.protocol),
-                )
-            )
-        rows.append(("ensemble", evaluate(fixed, pp, ds, indices, cfg.protocol)))
-        rows.append(
-            (RATIO_RANDOM, evaluate([random_member], pp, ds, indices, cfg.protocol))
-        )
+        fixed = evaluate(stacks[:-1], pp, ds, indices, cfg.protocol)
+        rows += [(_ratio_tag(s.ratio), m) for s, m in zip(stacks[:-1], fixed.members)]
+        rows.append(("ensemble", fixed))
+        rows.append((RATIO_RANDOM, evaluate(stacks[-1:], pp, ds, indices, cfg.protocol)))
     else:  # classifier
         stacks, pp, ds, indices = _train_ensemble(cfg, out_dir / "members")
         for head in HEADS:
@@ -249,8 +241,6 @@ def cmd_theory(args: argparse.Namespace) -> int:
             raise ConfigError(f"--n-grid: subset size {n} outside [1, {args.dim}]")
     rng = np.random.default_rng(check_seed(args.seed, "--seed"))
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []
     for delta_sq in delta_grid:
         spec = theory_mod.GaussianPairSpec(args.dim, theory_mod.ramp_offset(args.dim, delta_sq))
@@ -262,6 +252,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 f"{est.estimate:.4f} +/- {est.stderr:.4f}"
             )
     report = theory_mod.check_bound(estimates)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "theory_cells.csv",
         ["D", "n", "delta_sq", "n_subsets", "trials", "estimate", "stderr"],

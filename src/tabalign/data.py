@@ -79,6 +79,10 @@ class Dataset:
     def d_raw(self) -> int:
         return len(self.schema)
 
+    def class_name(self, c: int) -> str:
+        """Class ``c``'s name, or its index as text if it has none."""
+        return self.class_names[c] if c < len(self.class_names) else str(c)
+
     def validate(self) -> None:
         """Check the structural invariants; raises SchemaError on violation."""
         names = [c.name for c in self.schema]
@@ -371,9 +375,8 @@ def split(ds: Dataset, seed: int) -> SplitIndices:
             rows_c = np.flatnonzero(ds.labels == c)
             n_test = len(rows_c) // TEST_DENOMINATOR
             if n_test < 1:
-                cname = ds.class_names[c] if c < len(ds.class_names) else str(c)
                 raise SplitError(
-                    f"class {cname!r} has {len(rows_c)} rows; too small to give "
+                    f"class {ds.class_name(c)!r} has {len(rows_c)} rows; too small to give "
                     f"every class a test row"
                 )
             order = rng.permutation(rows_c)
@@ -422,9 +425,8 @@ def sample_episode(
     for c in classes:
         rows_c = split_indices.test[test_labels == c]
         if len(rows_c) < need:
-            cname = ds.class_names[c] if c < len(ds.class_names) else str(c)
             raise EpisodeError(
-                f"class {cname!r} has {len(rows_c)} test rows; "
+                f"class {ds.class_name(c)!r} has {len(rows_c)} test rows; "
                 f"episode needs {need}"
             )
         picks.append(rng.choice(rows_c, size=need, replace=False))

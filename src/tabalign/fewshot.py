@@ -75,11 +75,14 @@ class EvalReport:
     """Per-episode accuracies plus their mean and standard deviation.
 
     ``protocol`` is the protocol that produced the rows, with its head resolved.
+    ``members`` holds each member's own report, in member order; its rows
+    equal those of a one-member :func:`evaluate` call.
     """
 
     dataset: str
     protocol: Protocol
     rows: list[tuple[int, int, float]] = field(default_factory=list)
+    members: list[EvalReport] = field(default_factory=list)
 
     @property
     def accuracies(self) -> np.ndarray:
@@ -491,15 +494,17 @@ def evaluate(
     their rows is encoded once and embedded once per member, and the linear
     probes of all those episodes and members train as one stack. Each head
     runs once per member, and the members' class probabilities are averaged
-    uniformly before the argmax. With ``raw_space`` the heads run directly on
-    the encoded rows, as one identity member (a no-pretraining baseline), and
-    ``members`` is ignored.
+    uniformly before the argmax; each member's own probabilities give its
+    report in ``EvalReport.members``. With ``raw_space`` the heads run
+    directly on the encoded rows, as one identity member (a no-pretraining
+    baseline), and ``members`` is ignored.
     """
     protocol = replace(
         protocol, head=protocol.resolved_head(), n_way=protocol.n_way or ds.n_classes
     )
-    report = EvalReport(dataset=ds.name, protocol=protocol)
     encoders = [None] if raw_space else members
+    report = EvalReport(ds.name, protocol)
+    report.members = [EvalReport(ds.name, protocol) for _ in encoders]
     for seed_idx in range(protocol.n_seeds):
         episode_ids = range(protocol.n_episodes)
         episodes = [
@@ -528,10 +533,13 @@ def evaluate(
              for ep_idx in episode_ids],
         )
         # Members' probabilities are averaged uniformly, summed in member
-        # order; the argmax breaks ties to the lowest class id.
+        # order; the argmax breaks ties to the lowest class id. A lone member's
+        # fusion divides by 1, so its own report has a one-member call's bits.
         fused = sum(probs[1:], probs[0]) / len(encoders)
-        preds = np.take_along_axis(classes, np.argmax(fused, axis=2), axis=1)
-        for ep_idx, (episode, labels) in enumerate(zip(episodes, preds)):
-            accuracy = float(np.mean(labels == episode.query_labels))
-            report.rows.append((seed_idx, ep_idx, accuracy))
+        for scored, p in zip([report, *report.members], [fused, *probs]):
+            preds = np.take_along_axis(classes, np.argmax(p, axis=2), axis=1)
+            scored.rows.extend(
+                (seed_idx, ep_idx, float(np.mean(labels == episode.query_labels)))
+                for ep_idx, (episode, labels) in enumerate(zip(episodes, preds))
+            )
     return report

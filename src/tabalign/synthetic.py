@@ -29,12 +29,15 @@ def make_gaussian_dataset(
     separation spread across all coordinates. Class sizes are as balanced as
     n_rows allows. With ``n_categorical`` > 0 the trailing columns are
     discretized into ``cardinality`` quantile bins and declared categorical. Raises
-    :class:`ConfigError` on a bad seed or a ``separation`` that is not finite and >= 0.
+    :class:`ConfigError` on a bad seed, a ``separation`` that is not finite and >= 0,
+    or fewer rows than classes.
     """
     if not (math.isfinite(separation) and separation >= 0):
         raise ConfigError(f"separation must be finite and >= 0, got {separation}")
     if n_classes < 2 or n_classes > d_raw:
         raise ConfigError(f"n_classes={n_classes} must be in [2, d_raw={d_raw}]")
+    if n_rows < n_classes:
+        raise ConfigError(f"n_rows={n_rows} < n_classes={n_classes}; every class needs a row")
     if n_categorical < 0 or n_categorical > d_raw:
         raise ConfigError(f"n_categorical={n_categorical} outside [0, {d_raw}]")
 
@@ -95,10 +98,5 @@ def write_dataset_files(ds: Dataset, data_path: str | Path, schema_path: str | P
                 else:
                     row.append(f"lv{int(ds.rows[i, j])}")
             if ds.labels is not None:
-                cname = (
-                    ds.class_names[ds.labels[i]]
-                    if ds.labels[i] < len(ds.class_names)
-                    else f"c{ds.labels[i]}"
-                )
-                row.append(cname)
+                row.append(ds.class_name(ds.labels[i]))
             writer.writerow(row)

@@ -266,10 +266,9 @@ def desk_run():
     stacks, _ = pretrain_ensemble(x_train, x_valid, pp, [0.2, 0.4], cfg, master_seed=7)
 
     protocol = Protocol(n_way=4, k_shot=5, n_episodes=20, n_seeds=5, head="linear")
-    ensemble_acc = evaluate(stacks, pp, ds, idx, protocol).mean_accuracy
-    member_accs = [
-        evaluate([stack], pp, ds, idx, protocol).mean_accuracy for stack in stacks
-    ]
+    report = evaluate(stacks, pp, ds, idx, protocol)
+    ensemble_acc = report.mean_accuracy
+    member_accs = [member.mean_accuracy for member in report.members]
     baseline_acc = evaluate(
         [], pp, ds, idx,
         Protocol(n_way=4, k_shot=5, n_episodes=20, n_seeds=5, head="knn-eucl"),

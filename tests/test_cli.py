@@ -17,7 +17,7 @@ from tabalign.cli import main
 from tabalign.config import _KEYS, load_run_config
 from tabalign.data import load_csv
 from tabalign.errors import TabAlignError, UsageError
-from tabalign.fewshot import HEADS
+from tabalign.fewshot import HEADS, evaluate
 from tabalign.preprocess import fit
 from tabalign.pretrain import PretrainConfig, init_stack
 
@@ -390,7 +390,14 @@ def test_negative_seed_is_usage_error(workdir, run_dir, capsys, edit, command, f
 
 
 class TestAblateCommand:
-    def test_ratio_axis_emits_seven_rows(self, workdir):
+    def test_ratio_axis_emits_seven_rows(self, workdir, monkeypatch):
+        calls = []
+
+        def counted_evaluate(members, *args, **kwargs):
+            calls.append(len(members))
+            return evaluate(members, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counted_evaluate)
         out = workdir / "ab-ratio"
         rc = main(
             [
@@ -399,6 +406,8 @@ class TestAblateCommand:
             ]
         )
         assert rc == 0
+        # The five fixed-ratio members and their fusion in one call; the random member in one.
+        assert calls == [5, 1]
         rows = _read_csv(out / "ablation_ratio.csv")
         assert [r[1] for r in rows[1:]] == [
             "ratio-0.10",
@@ -527,6 +536,7 @@ class TestTheoryCommand:
             ["--delta-sq-grid", "nan"],
             ["--delta-sq-grid", "inf"],
             ["--dim", "0"],
+            ["--delta-sq-grid=-1"],
         ],
     )
     def test_bad_grid_or_dim_is_usage_error(self, tmp_path, capsys, recwarn, flags):
@@ -538,7 +548,7 @@ class TestTheoryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(recwarn)
-        assert not (out / "theory_bound.csv").exists()
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -658,6 +668,7 @@ def bad_inputs(workdir, run_dir) -> dict[str, Path]:
     [
         ["gen-data", "--seed", "-1", "--out", "{out}/synth"],
         ["gen-data", "--separation", "nan", "--out", "{out}/synth"],
+        ["gen-data", "--rows", "-1", "--out", "{out}/synth"],
         ["theory", "--seed", "-1", "--dim", "4", "--n-grid", "2", "--trials", "10",
          "--subsets", "1", "--out-dir", "{out}"],
         ["analyze", "{run}", "--config", "{ini}", "--seed", "-1", "--out-dir", "{out}"],
@@ -676,8 +687,8 @@ def bad_inputs(workdir, run_dir) -> dict[str, Path]:
         ["pretrain", "--config", "{body_ff}", "--out-dir", "{out}"],
         ["pretrain", "--config", "{long_field}", "--out-dir", "{out}"],
     ],
-    ids=["gen-data-seed", "gen-data-separation", "theory-seed", "analyze-seed", "eval-n-way",
-         "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed", "pretrain-10-rows",
+    ids=["gen-data-seed", "gen-data-separation", "gen-data-rows", "theory-seed", "analyze-seed",
+         "eval-n-way", "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed", "pretrain-10-rows",
          "pretrain-12-rows", "ablate-12-rows", "eval-truncated-checkpoint", "analyze-truncated-checkpoint",
          "ini-not-utf8", "schema-not-utf8", "csv-header-not-utf8", "csv-body-not-utf8",
          "csv-field-over-limit"],

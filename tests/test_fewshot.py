@@ -712,6 +712,15 @@ class TestEpisodeStacking:
         expected = _unstacked_evaluate(members, pp, ds, idx, protocol, raw_space=raw_space)
         assert len(report.rows) == 6
         assert report.rows == expected
+        # Each member's own report has the rows of a one-member call; under
+        # raw space the one report is the identity member's, the fused rows.
+        member_rows = [m.rows for m in report.members]
+        if raw_space:
+            assert member_rows == [report.rows]
+        else:
+            assert member_rows == [
+                evaluate([m], pp, ds, idx, protocol).rows for m in members
+            ]
 
     def test_tiny_support_changes_bits_not_accuracy(self, eval_setup, short_probes):
         """2-way 1-shot: a support of 2 rows. BLAS rounds a batch of 1-3 rows

@@ -86,7 +86,8 @@ def load_checkpoint(
 ) -> tuple[EncoderStack, Preprocessor]:
     """Load a checkpoint as a stack and its fitted preprocessor.
 
-    ``cfg`` replaces the stored config. Raises :class:`CheckpointError` on a
+    ``cfg`` replaces the stored config; it raises :class:`ConfigError` unless it
+    gives the stored layer shapes and dtype. Raises :class:`CheckpointError` on a
     malformed file or header, including a column :class:`ColumnSchema`
     rejects and means or stds that are not one finite value per column, or
     on a parameter tensor holding NaN or infinity.
@@ -122,6 +123,11 @@ def load_checkpoint(
         shapes = layer_shapes(pp.encoded_dim, stored)
     except (ValueError, TypeError, OverflowError, ConfigError, SchemaError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if cfg is not None:
+        given = (cfg.dtype, layer_shapes(pp.encoded_dim, cfg))
+        if given != (stored.dtype, shapes):
+            raise ConfigError(f"{path}: cfg gives {given[0]} layers {given[1]}, "
+                              f"not the checkpoint's {stored.dtype} layers {shapes}")
 
     dtype = np.dtype(stored.numpy_dtype())
     tensors = []

@@ -76,7 +76,7 @@ class EncoderStack:
 
     The projector input is the encoder output concatenated with the encoded
     mask vector (width ``embed_dim + encoded_dim``) unless conditioning is
-    disabled. A training run (:func:`pretrain`) owns gradients and optimizer state.
+    disabled. A training run's :class:`Workspace` holds its gradients and optimizer state.
     """
 
     encoder: list[DenseLayer]
@@ -241,7 +241,8 @@ def nearest_neighbor_indices(t: np.ndarray, *, work: np.ndarray | None = None) -
 
 @dataclass
 class Workspace:
-    """The buffers of a training run's steps, for batches of up to ``rows`` rows.
+    """What a training run writes besides its stack, for batches of up to ``rows`` rows:
+    the step buffers, the Adam state and the best epoch's parameter snapshot.
 
     A step writes the leading rows of each buffer. Every array, the views and
     the gradients included, has the stack's dtype, and so do the pairing and
@@ -249,13 +250,14 @@ class Workspace:
     at once share memory: the gathered batch and the target view, then the
     encoder output of a conditioned stack, then the projector output; and in
     ``scratch`` the pairing search, then InfoNCE, then the ReLU masks beside
-    ``grads``, the gradients laid out like ``stack.parameters()``. These hold
-    a step's gradient from its backward pass until the next step's pairing.
-    The backward pass writes each delta over an activation it has read:
-    InfoNCE's gradient over the projector output, the projector's hidden
+    ``adam.grads``, the gradients laid out like ``stack.parameters()``. These
+    hold a step's gradient from its backward pass until the next step's
+    pairing. The backward pass writes each delta over an activation it has
+    read: InfoNCE's gradient over the projector output, the projector's hidden
     delta over its hidden activation, the embedding columns' gradient over
     those columns of the projector input, and the encoder's hidden delta over
-    its hidden activation.
+    its hidden activation. Stacks of one shape and dtype can train in turn on
+    one workspace.
     """
 
     rows: int
@@ -268,12 +270,13 @@ class Workspace:
     proj_hidden: np.ndarray
     z: np.ndarray
     masks: np.ndarray
-    grads: list[np.ndarray]
     scratch: np.ndarray
+    adam: AdamState
+    best: list[np.ndarray]
 
     @classmethod
     def for_stack(cls, stack: EncoderStack, rows: int) -> "Workspace":
-        """Buffers for ``stack``'s steps on batches of up to ``rows`` rows."""
+        """A run of ``stack`` on batches of up to ``rows`` rows, Adam at step 0."""
         dtype = stack.cfg.numpy_dtype()
         d, e, hidden = stack.encoded_dim, stack.embed_dim, stack.encoder[0].out_dim
         p_in, p_out = stack.projector[0].in_dim, stack.projector[-1].out_dim
@@ -294,37 +297,19 @@ class Workspace:
             region = np.empty(max(work_bytes(list(group.values())) for group in groups), np.uint8)
             for group in groups:
                 arrays.update(zip(group, carve(region, list(group.values()))))
+        params = stack.parameters()
         masks = work_bytes([((rows, hidden), np.bool_)])
-        backward = [((masks,), np.uint8)] + [(p.shape, dtype) for p in stack.parameters()]
+        backward = [((masks,), np.uint8)] + [(p.shape, dtype) for p in params]
         kernels = [nearest_neighbors_work(rows, rows, d, dtype), infonce_work(rows, p_out, dtype)]
         scratch = np.empty(max(map(work_bytes, kernels + [backward])), np.uint8)
         arrays["masks"], *grads = carve(scratch, backward)
         arrays.setdefault("proj_in", arrays["embed"])
-        return cls(rows=rows, grads=grads, scratch=scratch, **arrays)
-
-
-@dataclass
-class RunBuffers:
-    """What a training run writes besides its stack: the step :class:`Workspace`,
-    the Adam state, whose gradients are the workspace's, and the best-epoch
-    parameter snapshot.
-
-    Stacks of one shape and dtype can train in turn on one set.
-    """
-
-    work: Workspace
-    adam: AdamState
-    best: list[np.ndarray]
-
-    @classmethod
-    def for_stack(cls, stack: EncoderStack, rows: int) -> "RunBuffers":
-        """Buffers for a run of ``stack`` on batches of up to ``rows`` rows."""
-        params = stack.parameters()
-        work = Workspace.for_stack(stack, rows)
         return cls(
-            work=work,
-            adam=AdamState.for_params(params, lr=stack.cfg.learning_rate, grads=work.grads),
+            rows=rows,
+            scratch=scratch,
+            adam=AdamState.for_params(params, lr=stack.cfg.learning_rate, grads=grads),
             best=[np.empty_like(p) for p in params],
+            **arrays,
         )
 
 
@@ -401,14 +386,13 @@ def alignment_loss(
     rng: np.random.Generator,
     grads: list[np.ndarray] | None = None,
     *,
-    work: Workspace | None = None,
+    work: Workspace,
 ) -> float:
     """One alignment step on a batch: sample a mask, build views, pair rows
     by target-view nearest neighbors, and score them with :func:`composite_loss`,
-    all in ``work`` (a workspace of its own when None)."""
+    all in ``work``."""
     batch = np.asarray(batch, dtype=stack.cfg.numpy_dtype())
     n = len(batch)
-    work = work or Workspace.for_stack(stack, n)
     x_f, x_t, mask_vec = _batch_views(stack, batch, pp, rng, (work.x_f[:n], work.x_t[:n]))
     pos = nearest_neighbor_indices(x_t, work=work.scratch)
     return composite_loss(stack, x_f, mask_vec, pos, grads, work=work)
@@ -419,17 +403,17 @@ def train_step(
     batch: np.ndarray,
     pp: Preprocessor,
     rng: np.random.Generator,
-    adam: AdamState,
     *,
-    work: Workspace | None = None,
+    work: Workspace,
 ) -> float:
-    """One optimization step on a batch, its gradient in ``adam.grads``; returns the batch loss."""
-    loss = alignment_loss(stack, batch, pp, rng, adam.grads, work=work)
+    """One optimization step on a batch in ``work``, its gradient in ``work.adam.grads``;
+    returns the batch loss."""
+    loss = alignment_loss(stack, batch, pp, rng, work.adam.grads, work=work)
     if not np.isfinite(loss):
         raise TrainingError(
             f"non-finite training loss (ratio={stack.ratio}, batch of {len(batch)})"
         )
-    adam_step(stack.parameters(), adam)
+    adam_step(stack.parameters(), work.adam)
     return loss
 
 
@@ -460,7 +444,7 @@ def pretrain(
     valid: np.ndarray,
     pp: Preprocessor,
     *,
-    buffers: RunBuffers | None = None,
+    work: Workspace | None = None,
 ) -> PretrainReport:
     """Train one stack under its own ``stack.cfg`` with validation-loss early stopping.
 
@@ -471,10 +455,10 @@ def pretrain(
     from the best-validation epoch are restored. Adam starts at zero on
     every call: a second call on the same stack does not continue the
     first call's moments. Every step and validation pass writes into
-    ``buffers``, built for this call when None; buffers passed in must be
-    :meth:`RunBuffers.for_stack` of a stack of this one's shape and dtype,
-    for this run's batch rows, else ``ValueError`` is raised before any is
-    written.
+    ``work``, built for this call when None; a workspace passed in must be
+    :meth:`Workspace.for_stack` of a stack of this one's shape and dtype,
+    for this run's batch rows, else ``ValueError`` is raised before any of
+    it is written.
     """
     cfg = stack.cfg
     if len(train) < 2:
@@ -483,14 +467,14 @@ def pretrain(
         raise SplitError(f"validation set needs at least 2 rows, got {len(valid)}")
 
     batch_rows = _batch_rows(cfg, train, valid)
-    buffers = buffers or RunBuffers.for_stack(stack, batch_rows)
-    if buffers.work.rows != batch_rows:
-        raise ValueError(f"buffers for batches of {buffers.work.rows} rows, not {batch_rows}")
+    work = work or Workspace.for_stack(stack, batch_rows)
+    if work.rows != batch_rows:
+        raise ValueError(f"workspace for batches of {work.rows} rows, not {batch_rows}")
     layout = [(p.shape, p.dtype) for p in stack.parameters()]
-    held = (buffers.best, buffers.work.grads, buffers.adam.grads, buffers.adam.m, buffers.adam.v)
+    adam = work.adam
+    held = (work.best, adam.grads, adam.m, adam.v)
     if any([(t.shape, t.dtype) for t in tensors] != layout for tensors in held):
-        raise ValueError("buffers built for a stack of another shape or dtype")
-    work, adam, best_params = buffers.work, buffers.adam, buffers.best
+        raise ValueError("workspace built for a stack of another shape or dtype")
     adam.t, adam.lr = 0, cfg.learning_rate
     for moment in adam.m + adam.v:
         moment.fill(0.0)
@@ -506,7 +490,7 @@ def pretrain(
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train))
         train_curve.append(_mean_loss(
-            train, order, work, lambda b: train_step(stack, b, pp, rng, adam, work=work)
+            train, order, work, lambda b: train_step(stack, b, pp, rng, work=work)
         ))
         vloss_epoch = _mean_loss(
             valid, np.arange(len(valid)), work,
@@ -519,7 +503,7 @@ def pretrain(
         if vloss_epoch < best_loss:
             best_loss = vloss_epoch
             best_epoch = epoch
-            for snapshot, p in zip(best_params, stack.parameters()):
+            for snapshot, p in zip(work.best, stack.parameters()):
                 np.copyto(snapshot, p)
             since_improved = 0
         else:
@@ -527,7 +511,7 @@ def pretrain(
             if since_improved >= cfg.patience:
                 break
 
-    for p, b in zip(stack.parameters(), best_params):
+    for p, b in zip(stack.parameters(), work.best):
         p[...] = b
     return PretrainReport(
         train_losses=train_curve,
@@ -561,7 +545,7 @@ def pretrain_ensemble(
 
     Member k's randomness derives solely from (master_seed, k), so retraining
     one member can never perturb another. The members share one shape and
-    dtype, and so train in turn on one :class:`RunBuffers`. Raises
+    dtype, and so train in turn on one :class:`Workspace`. Raises
     :class:`ConfigError` unless ``master_seed`` is an int >= 0.
     """
     check_seed(master_seed, "master_seed")
@@ -569,10 +553,10 @@ def pretrain_ensemble(
         raise ConfigError("ensemble needs at least one separation ratio")
     stacks: list[EncoderStack] = []
     reports: list[PretrainReport] = []
-    buffers = None
+    work = None
     for k, ratio in enumerate(ratios):
         stack = init_stack(train.shape[1], ratio, member_seed(master_seed, k), cfg)
-        buffers = buffers or RunBuffers.for_stack(stack, _batch_rows(cfg, train, valid))
-        reports.append(pretrain(stack, train, valid, pp, buffers=buffers))
+        work = work or Workspace.for_stack(stack, _batch_rows(cfg, train, valid))
+        reports.append(pretrain(stack, train, valid, pp, work=work))
         stacks.append(stack)
     return stacks, reports

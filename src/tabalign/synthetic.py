@@ -30,7 +30,7 @@ def make_gaussian_dataset(
     n_rows allows. With ``n_categorical`` > 0 the trailing columns are
     discretized into ``cardinality`` quantile bins and declared categorical. Raises
     :class:`ConfigError` on a bad seed, a ``separation`` that is not finite and >= 0,
-    or fewer rows than classes.
+    fewer rows than classes, or a ``cardinality`` below 2 with categorical columns.
     """
     if not (math.isfinite(separation) and separation >= 0):
         raise ConfigError(f"separation must be finite and >= 0, got {separation}")
@@ -40,6 +40,8 @@ def make_gaussian_dataset(
         raise ConfigError(f"n_rows={n_rows} < n_classes={n_classes}; every class needs a row")
     if n_categorical < 0 or n_categorical > d_raw:
         raise ConfigError(f"n_categorical={n_categorical} outside [0, {d_raw}]")
+    if n_categorical > 0 and cardinality < 2:
+        raise ConfigError(f"cardinality={cardinality} must be >= 2 for categorical columns")
 
     rng = np.random.default_rng(check_seed(seed))
     # Class means sit on random orthonormal directions so the separation is

@@ -686,12 +686,13 @@ def bad_inputs(workdir, run_dir) -> dict[str, Path]:
         ["pretrain", "--config", "{header_ff}", "--out-dir", "{out}"],
         ["pretrain", "--config", "{body_ff}", "--out-dir", "{out}"],
         ["pretrain", "--config", "{long_field}", "--out-dir", "{out}"],
+        ["gen-data", "--categorical", "2", "--cardinality", "-3", "--out", "{out}/synth"],
     ],
     ids=["gen-data-seed", "gen-data-separation", "gen-data-rows", "theory-seed", "analyze-seed",
          "eval-n-way", "eval-abbreviated-seeds", "eval-k-shot", "pretrain-seed", "pretrain-10-rows",
          "pretrain-12-rows", "ablate-12-rows", "eval-truncated-checkpoint", "analyze-truncated-checkpoint",
          "ini-not-utf8", "schema-not-utf8", "csv-header-not-utf8", "csv-body-not-utf8",
-         "csv-field-over-limit"],
+         "csv-field-over-limit", "gen-data-cardinality"],
 )
 def test_bad_argument_exits_2_with_one_error_line_and_no_output(
     workdir, run_dir, bad_inputs, tmp_path, capsys, argv

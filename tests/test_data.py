@@ -247,8 +247,9 @@ class TestLoadCsv:
         ({"separation": float("nan")}, "separation must be finite and >= 0"),
         ({"separation": float("inf")}, "separation must be finite and >= 0"),
         ({"separation": -1.0}, "separation must be finite and >= 0"),
+        ({"n_categorical": 1, "cardinality": 1}, "cardinality=1 must be >= 2"),
     ], ids=["seed-negative", "seed-float", "separation-nan", "separation-inf",
-            "separation-negative"])
+            "separation-negative", "cardinality-one"])
     def test_synthetic_rejects_a_bad_seed_or_separation(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             make_gaussian_dataset(n_rows=40, d_raw=3, n_classes=2, **kwargs)

@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tabalign
 from tabalign.checkpoint import save_checkpoint
 from tabalign.cli import _OVERRIDES, main
 from tabalign.config import _KEYS
 from tabalign.errors import TabAlignError, UsageError
 from tabalign.fewshot import finetune_probs, knn_probs, linear_probe_probs, prototype_probs
-from tabalign.nncore import AdamState
-from tabalign.preprocess import fit
+from tabalign.preprocess import encode, fit
 from tabalign.pretrain import PretrainConfig, Workspace, init_stack
 from tabalign.synthetic import make_gaussian_dataset
 
@@ -77,7 +77,8 @@ def test_kernel_list_names_each_kernel_with_its_parameters():
     documented = dict(re.findall(r"`([\w.]+)\(([^`)]*)\)`", kernels))
     assert {"mlp_forward", "mlp_backward", "infonce_loss", "nearest_neighbors",
             "preprocess.make_views", "make_views_marginal", "adam_step",
-            "AdamState.for_params"} <= set(documented)
+            "AdamState.for_params", "train_step", "pretrain.pretrain",
+            "Workspace.for_stack"} <= set(documented)
     modules = {name: importlib.import_module(f"tabalign.{name}")
                for name in ("nncore", "pretrain", "preprocess")}
     for name, params in documented.items():
@@ -101,9 +102,25 @@ def test_desk_buffer_sizes_are_those_the_code_builds():
     work = Workspace.for_stack(stack, 1024)
     arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
     regions = {id(r): r for r in (a if a.base is None else a.base for a in arrays)}
-    adam = AdamState.for_params(stack.parameters(), lr=stack.cfg.learning_rate)
-    built = [sum(r.nbytes for r in regions.values()), sum(a.nbytes for a in adam.scratch.values())]
+    built = [sum(r.nbytes for r in regions.values()),
+             sum(a.nbytes for a in work.adam.scratch.values())]
     assert [float(size) for size in stated.groups()] == [round(n / 2**20, 2) for n in built]
+
+
+def test_one_step_snippet_runs():
+    """The Python API's one-step snippet runs as written on a small stack and batch."""
+    (snippet,) = [block for block in re.findall(r"```python\n(.*?)```", _section("Python API"),
+                                                 flags=re.S) if "train_step(" in block]
+    ds = make_gaussian_dataset(n_rows=40, d_raw=3, n_classes=2, separation=6.0, seed=0)
+    pp = fit(ds, list(range(ds.n_rows)))
+    cfg = PretrainConfig(batch_size=16, hidden_dim=4, embed_dim=2, projector_dim=2)
+    stack = init_stack(pp.encoded_dim, 0.2, 0, cfg)
+    before = [p.copy() for p in stack.parameters()]
+    scope = {"ta": tabalign, "stack": stack, "batch": encode(pp, ds, list(range(16))), "pp": pp,
+             "rng": np.random.default_rng(0)}
+    exec(snippet, scope)
+    assert np.isfinite(scope["loss"]) and scope["work"].adam.t == 1
+    assert any(p.tobytes() != b.tobytes() for p, b in zip(stack.parameters(), before))
 
 
 def test_output_files_table_lists_the_headers_the_commands_write(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import importlib
@@ -20,12 +21,11 @@ from tabalign.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tabalign.data import split
 from tabalign.errors import ArrayError, CheckpointError, ConfigError, SplitError, TrainingError
 from tabalign.fewshot import embed
-from tabalign.nncore import AdamState, infonce_loss, mlp_backward, mlp_forward, work_bytes
+from tabalign.nncore import infonce_loss, mlp_backward, mlp_forward, work_bytes
 from tabalign.preprocess import encode, fit, make_views, sample_mask
 from tabalign.pretrain import (
     RATIO_RANDOM,
     PretrainConfig,
-    RunBuffers,
     Workspace,
     composite_loss,
     init_stack,
@@ -145,16 +145,13 @@ class TestNearestNeighbors:
             nearest_neighbors(np.ones((3, 2)), 4, queries=np.ones((1, 2)))
 
 
-def _adam(stack):
-    return AdamState.for_params(stack.parameters(), lr=stack.cfg.learning_rate)
-
-
 class TestTrainStep:
     def test_batch_of_two_is_noop(self, encoded_gauss):
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         before = [p.copy() for p in stack.parameters()]
-        loss = train_step(stack, x_train[:2], pp, np.random.default_rng(0), _adam(stack))
+        work = Workspace.for_stack(stack, 2)
+        loss = train_step(stack, x_train[:2], pp, np.random.default_rng(0), work=work)
         assert abs(loss) <= 1e-12
         for p, b in zip(stack.parameters(), before):
             np.testing.assert_array_equal(p, b)
@@ -166,26 +163,26 @@ class TestTrainStep:
         for _ in range(2):
             stack = init_stack(pp.encoded_dim, 0.3, seed=5, cfg=SMALL_CFG)
             rng = np.random.default_rng(5)
-            adam = _adam(stack)
-            losses.append([train_step(stack, x_train[:64], pp, rng, adam) for _ in range(3)])
+            work = Workspace.for_stack(stack, 64)
+            losses.append([train_step(stack, x_train[:64], pp, rng, work=work) for _ in range(3)])
             params.append([p.copy() for p in stack.parameters()])
         assert losses[0] == losses[1]
         for a, b in zip(params[0], params[1]):
             assert a.tobytes() == b.tobytes()
 
     def test_desk_step_allocates_under_one_mib(self):
-        """With the run's workspace and Adam state, a desk-shape step (B=1024,
-        32 columns, float64) writes into buffers it was given."""
+        """With the run's workspace, a desk-shape step (B=1024, 32 columns,
+        float64) writes into buffers it was given."""
         ds = make_gaussian_dataset(n_rows=2000, d_raw=32, n_classes=4, separation=6.0, seed=0)
         idx = split(ds, seed=0)
         pp = fit(ds, idx.train)
         x = encode(pp, ds, idx.train)[:1024]
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=PretrainConfig(batch_size=1024))
-        adam, work, rng = _adam(stack), Workspace.for_stack(stack, 1024), np.random.default_rng(0)
-        train_step(stack, x, pp, rng, adam, work=work)
+        work, rng = Workspace.for_stack(stack, 1024), np.random.default_rng(0)
+        train_step(stack, x, pp, rng, work=work)
         tracemalloc.start()
         try:
-            train_step(stack, x, pp, rng, adam, work=work)
+            train_step(stack, x, pp, rng, work=work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -202,8 +199,7 @@ class TestTrainStep:
         so a second B x B buffer would show here."""
         rows, d, hidden, e, f8 = 1024, 32, 1024, 256, 8
         stack = init_stack(d, 0.2, seed=0, cfg=PretrainConfig(batch_size=rows))
-        buffers = RunBuffers.for_stack(stack, rows)
-        work = buffers.work
+        work = Workspace.for_stack(stack, rows)
         live = rows * (d + 2 * hidden + e + d) * f8
         shared = rows * e * f8
         backward = rows * hidden + sum(p.nbytes for p in stack.parameters())
@@ -215,8 +211,7 @@ class TestTrainStep:
         assert len(regions) == 3
         assert sum(r.nbytes for r in regions.values()) == live + shared + infonce
         assert live + shared + infonce == 31.0 * 2**20 <= 41.1 * 2**20
-        assert buffers.adam.grads is work.grads
-        assert all(np.shares_memory(g, work.scratch) for g in buffers.adam.grads)
+        assert all(np.shares_memory(g, work.scratch) for g in work.adam.grads)
 
     def test_float32_workspace_holds_no_float64_array(self):
         cfg = PretrainConfig(hidden_dim=16, embed_dim=8, projector_dim=8, dtype="float32")
@@ -226,13 +221,20 @@ class TestTrainStep:
 
     def test_workspace_and_fresh_buffers_give_the_same_bits(self, encoded_gauss):
         """Steps on a workspace sized for a larger batch (so every buffer is a
-        leading-row view) give the bits of steps that allocate."""
+        leading-row view) give the bits of steps that each run on a fresh
+        workspace of their batch's size, Adam's moments carried over."""
         pp, x_train, _ = encoded_gauss
         results = []
-        for work in (None, Workspace.for_stack(init_stack(pp.encoded_dim, 0.3, 5, SMALL_CFG), 64)):
+        for fresh in (True, False):
             stack = init_stack(pp.encoded_dim, 0.3, seed=5, cfg=SMALL_CFG)
-            rng, adam = np.random.default_rng(5), _adam(stack)
-            losses = [train_step(stack, x_train[:n], pp, rng, adam, work=work) for n in (40, 2, 64)]
+            rng, work = np.random.default_rng(5), Workspace.for_stack(stack, 64)
+            losses = []
+            for n in (40, 2, 64):
+                if fresh:
+                    exact = Workspace.for_stack(stack, n)
+                    exact.adam = dataclasses.replace(work.adam, grads=exact.adam.grads)
+                    work = exact
+                losses.append(train_step(stack, x_train[:n], pp, rng, work=work))
             results.append((losses, b"".join(p.tobytes() for p in stack.parameters())))
         assert results[0] == results[1]
 
@@ -271,11 +273,11 @@ class TestTrainStep:
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=1, cfg=SMALL_CFG)
         rng = np.random.default_rng(1)
-        adam = _adam(stack)
-        first = train_step(stack, x_train[:128], pp, rng, adam)
+        work = Workspace.for_stack(stack, 128)
+        first = train_step(stack, x_train[:128], pp, rng, work=work)
         last = None
         for _ in range(199):
-            last = train_step(stack, x_train[:128], pp, rng, adam)
+            last = train_step(stack, x_train[:128], pp, rng, work=work)
         assert last < first
 
 
@@ -387,7 +389,7 @@ class TestPretrain:
         pp, x_train, x_valid = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         calls = []
-        monkeypatch.setattr(pretrain_mod, "train_step", lambda *args: calls.append(args))
+        monkeypatch.setattr(pretrain_mod, "train_step", lambda *args, **kw: calls.append(args))
         with pytest.raises(SplitError, match="validation set"):
             pretrain(stack, x_train, x_valid[:1], pp)
         assert calls == []
@@ -441,32 +443,47 @@ class TestEnsemble:
     def test_members_share_one_buffer_set_and_each_starts_adam_at_zero(
         self, encoded_gauss, monkeypatch
     ):
+        """Every member trains on one workspace and its Adam state. Each epoch
+        makes one module-global ``train_step`` call per training batch, which
+        calls ``alignment_loss`` once, and one direct ``alignment_loss`` call
+        per validation batch: the calls the benchmark's per-layer figures read."""
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 2})
-        starts, states, works = [], set(), set()
-        adam_step, train_step = pretrain_mod.adam_step, pretrain_mod.train_step
+        starts, states, works, calls = [], [], [], []
+        adam_step = pretrain_mod.adam_step
+        train_step, alignment_loss = pretrain_mod.train_step, pretrain_mod.alignment_loss
 
         def adam_spy(params, state):
             if state.t == 0:
                 starts.append(all(not m.any() and not v.any() for m, v in zip(state.m, state.v)))
-            states.add(id(state))
+            states.append(state)
             return adam_step(params, state)
 
         def step_spy(*args, work):
-            works.add(id(work))
+            calls.append("train_step")
+            works.append(work)
             return train_step(*args, work=work)
+
+        def loss_spy(*args, work):
+            calls.append("alignment_loss")
+            works.append(work)
+            return alignment_loss(*args, work=work)
 
         monkeypatch.setattr(pretrain_mod, "adam_step", adam_spy)
         monkeypatch.setattr(pretrain_mod, "train_step", step_spy)
-        pretrain_ensemble(x_train, x_valid, pp, [0.2, 0.3, 0.4], cfg, master_seed=2)
+        monkeypatch.setattr(pretrain_mod, "alignment_loss", loss_spy)
+        _, reports = pretrain_ensemble(x_train, x_valid, pp, [0.2, 0.3, 0.4], cfg, master_seed=2)
         assert starts == [True, True, True]
-        assert len(states) == len(works) == 1
+        assert all(w is works[0] for w in works) and all(s is works[0].adam for s in states)
+        n_train, n_valid = (-(-len(x) // cfg.batch_size) for x in (x_train, x_valid))
+        epoch = ["train_step", "alignment_loss"] * n_train + ["alignment_loss"] * n_valid
+        assert calls == sum((epoch * r.stopped_epoch for r in reports), [])
 
     def test_buffers_for_other_batch_rows_rejected(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
         with pytest.raises(ValueError, match="rows"):
-            pretrain(stack, x_train, x_valid, pp, buffers=RunBuffers.for_stack(stack, 32))
+            pretrain(stack, x_train, x_valid, pp, work=Workspace.for_stack(stack, 32))
 
     @pytest.mark.parametrize(
         "stack_cfg,buffers_cfg", [({"dtype": "float32"}, {}), ({}, {"hidden_dim": 48})]
@@ -474,19 +491,19 @@ class TestEnsemble:
     def test_buffers_for_another_shape_or_dtype_rejected_before_any_write(
         self, encoded_gauss, stack_cfg, buffers_cfg
     ):
-        """Float64 buffers for a float32 stack, and buffers for a wider hidden
-        layer, are refused before the run writes to them or to the stack."""
+        """A float64 workspace for a float32 stack, and a workspace for a wider
+        hidden layer, are refused before the run writes to it or to the stack."""
         pp, x_train, x_valid = encoded_gauss
         stack, other = (
             init_stack(pp.encoded_dim, 0.2, 0, PretrainConfig(**{**SMALL_CFG.__dict__, **c}))
             for c in (stack_cfg, buffers_cfg)
         )
-        buffers = RunBuffers.for_stack(other, SMALL_CFG.batch_size)
-        buffers.adam.t = 7
+        work = Workspace.for_stack(other, SMALL_CFG.batch_size)
+        work.adam.t = 7
         before = [p.copy() for p in stack.parameters()]
         with pytest.raises(ValueError, match="another shape or dtype"):
-            pretrain(stack, x_train, x_valid, pp, buffers=buffers)
-        assert buffers.adam.t == 7
+            pretrain(stack, x_train, x_valid, pp, work=work)
+        assert work.adam.t == 7
         assert all(p.tobytes() == b.tobytes() for p, b in zip(stack.parameters(), before))
 
     def test_member_seed_is_one_seed_sequence_draw(self):
@@ -671,6 +688,24 @@ class TestCheckpoint:
         assert loaded_pp.schema == pp.schema
         assert loaded_pp.ranges == pp.ranges
         assert loaded_pp.encoded_dim == pp.encoded_dim
+
+    @pytest.mark.parametrize(
+        "change", [{"hidden_dim": 64, "dtype": "float32"}, {"hidden_dim": 64},
+                   {"dtype": "float32"}, {"conditioned": False}],
+        ids=["width-and-dtype", "width", "dtype", "unconditioned"],
+    )
+    def test_cfg_of_other_layers_or_dtype_rejected(self, encoded_gauss, tmp_path, change):
+        """A ``cfg`` that would label the stored layers with other widths or
+        another dtype is refused; one that differs elsewhere replaces the
+        stored config."""
+        pp, _, _ = encoded_gauss
+        cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "hidden_dim": 16})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_stack(pp.encoded_dim, 0.2, seed=0, cfg=cfg), pp)
+        with pytest.raises(ConfigError, match="layers"):
+            load_checkpoint(path, PretrainConfig(**{**cfg.__dict__, **change}))
+        other = PretrainConfig(**{**cfg.__dict__, "learning_rate": 0.5, "max_epochs": 1})
+        assert load_checkpoint(path, other)[0].cfg is other
 
     def test_load_retains_parameters_only(self, encoded_gauss, tmp_path):
         """A reloaded default-width stack keeps its parameters only: no gradient

@@ -395,7 +395,7 @@ def finetune_probs(
         cfg.max_epochs,
         encoder,
     )
-    h_query, _ = mlp_forward(encoder, np.asarray(query_x, dtype=dtype))
+    h_query = embed(replace(stack, encoder=encoder), query_x)
     return classes, _softmax(h_query @ w.T + b)
 
 

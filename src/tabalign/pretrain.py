@@ -246,18 +246,20 @@ class Workspace:
 
     A step writes the leading rows of each buffer. Every array, the views and
     the gradients included, has the stack's dtype, and so do the pairing and
-    InfoNCE temporaries carved from ``scratch``. Buffers that are never live
-    at once share memory: the gathered batch and the target view, then the
-    encoder output of a conditioned stack, then the projector output; and in
-    ``scratch`` the pairing search, then InfoNCE, then the ReLU masks beside
-    ``adam.grads``, the gradients laid out like ``stack.parameters()``. These
-    hold a step's gradient from its backward pass until the next step's
-    pairing. The backward pass writes each delta over an activation it has
-    read: InfoNCE's gradient over the projector output, the projector's hidden
-    delta over its hidden activation, the embedding columns' gradient over
-    those columns of the projector input, and the encoder's hidden delta over
-    its hidden activation. Stacks of one shape and dtype can train in turn on
-    one workspace.
+    InfoNCE temporaries carved from ``scratch``. The projector input
+    ``proj_in`` is one buffer: the encoder writes the E embedding columns, and
+    a conditioned step writes its D mask columns after them. Buffers that are
+    never live at once share memory: the gathered batch and the target view,
+    then the projector output; and in ``scratch`` the pairing search, then
+    InfoNCE, then the ReLU masks beside ``adam.grads``, the gradients laid out
+    like ``stack.parameters()``. These hold a step's gradient from its
+    backward pass until the next step's pairing. The backward pass writes
+    each delta over an activation it has read: InfoNCE's gradient over the
+    projector output, the projector's hidden delta over its hidden
+    activation, the embedding columns' gradient over those columns of the
+    projector input, and the encoder's hidden delta over its hidden
+    activation. Stacks of one shape and dtype can train in turn on one
+    workspace.
     """
 
     rows: int
@@ -265,7 +267,6 @@ class Workspace:
     x_f: np.ndarray
     x_t: np.ndarray
     enc_hidden: np.ndarray
-    embed: np.ndarray
     proj_in: np.ndarray
     proj_hidden: np.ndarray
     z: np.ndarray
@@ -278,20 +279,14 @@ class Workspace:
     def for_stack(cls, stack: EncoderStack, rows: int) -> "Workspace":
         """A run of ``stack`` on batches of up to ``rows`` rows, Adam at step 0."""
         dtype = stack.cfg.numpy_dtype()
-        d, e, hidden = stack.encoded_dim, stack.embed_dim, stack.encoder[0].out_dim
+        d, hidden = stack.encoded_dim, stack.encoder[0].out_dim
         p_in, p_out = stack.projector[0].in_dim, stack.projector[-1].out_dim
         # Live from the views to the backward pass.
         live = {"x_f": ((rows, d), dtype), "enc_hidden": ((rows, hidden), dtype),
-                "proj_hidden": ((rows, hidden), dtype)}
+                "proj_hidden": ((rows, hidden), dtype), "proj_in": ((rows, p_in), dtype)}
         # Groups that share one region: each is dead before the next is written.
         shared = [{"batch": ((rows, d), dtype), "x_t": ((rows, d), dtype)},
                   {"z": ((rows, p_out), dtype)}]
-        embed = {"embed": ((rows, e), dtype)}
-        if stack.conditioned:
-            live["proj_in"] = ((rows, p_in), dtype)
-            shared.append(embed)
-        else:
-            live.update(embed)
         arrays: dict[str, np.ndarray] = {}
         for groups in ([live], shared):
             region = np.empty(max(work_bytes(list(group.values())) for group in groups), np.uint8)
@@ -303,7 +298,6 @@ class Workspace:
         kernels = [nearest_neighbors_work(rows, rows, d, dtype), infonce_work(rows, p_out, dtype)]
         scratch = np.empty(max(map(work_bytes, kernels + [backward])), np.uint8)
         arrays["masks"], *grads = carve(scratch, backward)
-        arrays.setdefault("proj_in", arrays["embed"])
         return cls(
             rows=rows,
             scratch=scratch,
@@ -339,26 +333,22 @@ def composite_loss(
     pos: np.ndarray,
     grads: list[np.ndarray] | None = None,
     *,
-    work: Workspace | None = None,
+    work: Workspace,
 ) -> float:
     """Contrastive loss of encoder -> conditioned projector on fixed views.
 
     ``pos`` names each row's positive partner. ``x_f`` is read in the stack's
     dtype, cast when it has another. With ``grads``, laid out like
     ``stack.parameters()``, the full analytic parameter gradient lands in it.
-    Activations and deltas go into ``work``'s leading rows (a workspace of
-    its own when None); the deltas overwrite the activations.
+    Activations and deltas go into ``work``'s leading rows; the deltas
+    overwrite the activations.
     """
-    dtype = stack.cfg.numpy_dtype()
-    x_f = np.asarray(x_f, dtype=dtype)
-    n = len(x_f)
-    work = work or Workspace.for_stack(stack, n)
-    h, enc_cache = mlp_forward(stack.encoder, x_f, out=[work.enc_hidden[:n], work.embed[:n]])
+    x_f = np.asarray(x_f, dtype=stack.cfg.numpy_dtype())
+    n, e = len(x_f), stack.embed_dim
+    proj_in = work.proj_in[:n]
+    _, enc_cache = mlp_forward(stack.encoder, x_f, out=[work.enc_hidden[:n], proj_in[:, :e]])
     if stack.conditioned:
-        cond = np.broadcast_to(mask_vec.astype(dtype), (n, mask_vec.shape[0]))
-        proj_in = np.concatenate([h, cond], axis=1, out=work.proj_in[:n])
-    else:
-        proj_in = h
+        proj_in[:, e:] = mask_vec
     z, proj_cache = mlp_forward(stack.projector, proj_in, out=[work.proj_hidden[:n], work.z[:n]])
     loss, d_z = infonce_loss(
         z, pos, stack.cfg.temperature, grad=grads is not None, out=z, work=work.scratch
@@ -367,7 +357,7 @@ def composite_loss(
         # Only the embedding columns of the projector's input gradient reach
         # the encoder, and nothing reads the encoder's input gradient. Each
         # layer's input gradient is written over that layer's input.
-        k, e = 2 * len(stack.encoder), stack.embed_dim
+        k = 2 * len(stack.encoder)
         d_h = mlp_backward(
             stack.projector, proj_cache, d_z, grads[k:], input_cols=e,
             out=[proj_in[:, :e], work.proj_hidden[:n]], work=work.masks,

@@ -27,6 +27,7 @@ from tabalign.nncore import infonce_loss
 from tabalign.preprocess import encode, fit, make_views, sample_mask
 from tabalign.pretrain import (
     PretrainConfig,
+    Workspace,
     composite_loss,
     init_stack,
     nearest_neighbor_indices,
@@ -71,9 +72,10 @@ def test_criterion_1_composite_gradient():
         pos = nearest_neighbor_indices(x * mask_vec)
 
         analytic = [np.zeros_like(p) for p in stack.parameters()]
-        composite_loss(stack, x_f, mask_vec, pos, grads=analytic)
+        work = Workspace.for_stack(stack, b)
+        composite_loss(stack, x_f, mask_vec, pos, grads=analytic, work=work)
         numeric = central_diff_grads(
-            lambda: composite_loss(stack, x_f, mask_vec, pos),
+            lambda: composite_loss(stack, x_f, mask_vec, pos, work=work),
             stack.parameters(),
             h=1e-6,
         )

@@ -91,6 +91,15 @@ def test_kernel_list_names_each_kernel_with_its_parameters():
         assert [p.split("=")[0] for p in params.split(", ")] == _parameter_names(target), name
 
 
+def test_determinism_sentence_states_its_scope():
+    """Same seeds give the same bytes only within one numpy and OpenBLAS
+    build, CPU class and BLAS thread count; the sentence names all four."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (sentence,) = [s for s in text.split(". ") if "fully determine" in s]
+    for scope in ("numpy", "OpenBLAS build", "CPU class", "BLAS thread count"):
+        assert scope in sentence
+
+
 def test_desk_buffer_sizes_are_those_the_code_builds():
     text = " ".join(README.read_text(encoding="utf-8").split())
     stated = re.search(

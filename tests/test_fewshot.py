@@ -156,6 +156,20 @@ class TestEmbed:
         with pytest.raises(HeadError, match="non-finite"):
             embed(stack, np.ones((3, 6)))
 
+    def test_non_finite_finetuned_query_embedding_rejected(self):
+        """A query row that overflows the encoder is refused by the fine-tune
+        head as by ``embed``, not scored as NaN probabilities."""
+        stack = init_stack(6, 0.3, seed=1, cfg=TINY_CFG)
+        w1 = stack.encoder[0].weight
+        query = 1.7e308 * np.sign(w1[np.argmax(np.abs(w1).sum(axis=1))])[None]
+        support = np.random.default_rng(0).normal(size=(8, 6))
+        labels = np.array([0, 1] * 4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(HeadError, match="non-finite"):
+                embed(stack, query)
+            with pytest.raises(HeadError, match="non-finite"):
+                finetune_probs(stack, support, labels, query, ProbeConfig(max_epochs=50, seed=0))
+
     def test_finite_on_many_rows_after_training(self, eval_setup):
         from tabalign.pretrain import PretrainConfig as PC
         from tabalign.pretrain import pretrain

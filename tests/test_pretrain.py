@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import hashlib
 import importlib
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -38,6 +41,11 @@ from tabalign.pretrain import (
     train_step,
 )
 from tabalign.synthetic import make_gaussian_dataset
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 # The package re-exports the function ``pretrain``, which shadows the module.
 pretrain_mod = importlib.import_module("tabalign.pretrain")
@@ -378,6 +386,37 @@ class TestPretrain:
         pretrain(stack, x_train, x_valid, pp)
         assert starts == [True, True]
 
+    def test_validation_masks_come_from_the_run_stream(self, encoded_gauss, monkeypatch):
+        """Validation draws its masks from the generator the training steps
+        use, so each epoch scores fresh masks."""
+        pp, x_train, x_valid = encoded_gauss
+        sample_mask, train_step = pretrain_mod.sample_mask, pretrain_mod.train_step
+        in_step, draws = [False], []
+
+        def step_spy(*args, work):
+            in_step[0] = True
+            try:
+                return train_step(*args, work=work)
+            finally:
+                in_step[0] = False
+
+        def mask_spy(pp, ratio, rng):
+            mask = sample_mask(pp, ratio, rng)
+            draws.append((in_step[0], rng, mask.encoded_mask.tobytes()))
+            return mask
+
+        monkeypatch.setattr(pretrain_mod, "train_step", step_spy)
+        monkeypatch.setattr(pretrain_mod, "sample_mask", mask_spy)
+        stack = init_stack(pp.encoded_dim, 0.3, seed=4, cfg=SMALL_CFG)
+        report = pretrain(stack, x_train, x_valid, pp)
+        assert report.stopped_epoch >= 2
+        rngs = {id(rng) for _, rng, _ in draws}
+        assert len(rngs) == 1
+        valid = [mask for training, _, mask in draws if not training]
+        per_epoch = len(valid) // report.stopped_epoch
+        assert per_epoch >= 1 and len(valid) == per_epoch * report.stopped_epoch
+        assert valid[:per_epoch] != valid[per_epoch : 2 * per_epoch]
+
     def test_empty_validation_rejected(self, encoded_gauss):
         pp, x_train, _ = encoded_gauss
         stack = init_stack(pp.encoded_dim, 0.2, seed=0, cfg=SMALL_CFG)
@@ -599,12 +638,26 @@ class TestVariants:
         report = pretrain(stack, x_train, x_valid, pp)
         assert report.best_validation_loss < report.valid_losses[0]
 
-    def test_random_ratio_mode_trains(self, encoded_gauss):
+    def test_random_ratio_mode_trains(self, encoded_gauss, monkeypatch):
+        """A ``random`` member draws each batch's ratio from ``DEFAULT_RATIOS``
+        with the run's RNG, so the draws vary and repeat under the same seed."""
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 3})
-        stack = init_stack(pp.encoded_dim, RATIO_RANDOM, seed=0, cfg=cfg)
-        report = pretrain(stack, x_train, x_valid, pp)
-        assert len(report.train_losses) == 3
+        sample_mask = pretrain_mod.sample_mask
+        runs = []
+
+        def mask_spy(pp, ratio, rng):
+            runs[-1].append(ratio)
+            return sample_mask(pp, ratio, rng)
+
+        monkeypatch.setattr(pretrain_mod, "sample_mask", mask_spy)
+        for _ in range(2):
+            runs.append([])
+            stack = init_stack(pp.encoded_dim, RATIO_RANDOM, seed=0, cfg=cfg)
+            report = pretrain(stack, x_train, x_valid, pp)
+            assert len(report.train_losses) == 3
+        assert set(runs[0]) <= set(pretrain_mod.DEFAULT_RATIOS) and len(set(runs[0])) >= 2
+        assert runs[0] == runs[1]
 
     def test_marginal_imputation_trains(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
@@ -937,54 +990,72 @@ class TestCheckpoint:
 
 
 # sha256 of the members' checkpoint bytes and of their loss curves (float64
-# bytes) from small ensembles. In the first three every matrix product stays
-# below OpenBLAS's threading threshold, so the bytes do not depend on the BLAS
-# thread count; each leaves a short last batch in one pass and a skipped 1-row
-# batch in the other. The fourth trains batches of 300 and 150 rows, so
+# bytes) from small ensembles, trained by ``pinned_run.py`` in a subprocess
+# under one CPU class: numpy's dispatch targets above X86_V3 (AVX2) off,
+# OpenBLAS's Haswell core and 1 BLAS thread. Bytes depend on the class (numpy's
+# float64 ``exp``/``log`` and OpenBLAS's matmul kernels differ between AVX2
+# and AVX-512), so forcing it lets the pins hold on any x86-64 host with AVX2.
+# Each of the first three leaves a short last batch in one pass and a skipped
+# 1-row batch in the other. The fourth trains batches of 300 and 150 rows, so
 # InfoNCE spans two tiles with a ragged edge, and tensors of 3 Adam blocks and
-# a remainder. Its products are threaded, and float64 bytes there differ
-# between 1 and 2 BLAS threads; float32 bytes do not.
+# a remainder.
 PINNED_RUNS = {
     "float64-zero": (
         dict(dtype="float64", imputation="zero"), [0.25, 0.5], 65, 45,
-        "222f57057f74559c4b326f03116c1c955deae15c68b7f57c34173444c3c9a153",
-        "9b0ba5f4fb1be977f50244faaff1467db1ae10abe78da3acf4b9fdcd650ebc9a",
+        "305714dbe7b33704e4907f59906d5a640b08fac17b68d8bdc9f4f72e5513e01f",
+        "589bd374ddef75112cd69319e1be3b9e17638f3186a6278bc8fca8b3f82ba9d9",
     ),
     "float32-marginal-random": (
         dict(dtype="float32", imputation="marginal"), [RATIO_RANDOM, 0.3], 77, 33,
-        "ef8329e8d467bf684994b2653d2b75d764dbc74d211e8d2833141a71f3120971",
-        "2288f9c272b5371283106e506d7a16bf504f7863ba30db8958bf520a1ae9d654",
+        "007216fa5bec1f9437cdf78d2a2f381d7d9823204d6b69bc7cb6d8b89d17b958",
+        "dce85ccd45a560690ca38bdf8e68158775b02537e6e5b742088702dbbf0324b8",
     ),
     "unconditioned": (
         dict(conditioned=False), [0.4], 65, 45,
-        "485afaf1ef254239a6cc6ab8f2b3555fb14d65fe6df9a6888c1510b90c16b602",
+        "32c3cd0883e13dac63d30f115ca43207776cc2e041625c1def9b173465625777",
         "178408943ec27c76e8113fda18ce60fb47f0de96e28b059b93fa7a7a9305a714",
     ),
     "float32-wide-batch": (
         dict(dtype="float32", batch_size=300, hidden_dim=400, embed_dim=256, projector_dim=256),
         [0.3, 0.5], 450, 50,
-        "7c64461481f09de750fec3df1118ee6107e5f56173940df3e3d90ccdb389f26a",
-        "6a0e785f3b26a4c6b903230e22ccc9c1a1e46551ecd668bcf560d122fad4669f",
+        "a3469a8750bfa3fca5516098275b1f7968138b15d28268d25b3325dc6d03e9a1",
+        "27ce7c3f5aa7d7b392378048c7bd9cfce13ec7b6c7b5d4af901658dcc9e5f0be",
     ),
 }
+
+
+def _avx2_class_env() -> dict[str, str]:
+    """The environment that forces the pins' CPU class on a child process."""
+    dispatch = list(_multiarray_umath.__cpu_dispatch__)
+    above = dispatch[dispatch.index("X86_V3") + 1 :] if "X86_V3" in dispatch else [
+        t for t in dispatch if t.startswith("AVX512")
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    path = [str(Path(pretrain_mod.__file__).parents[1]), env.get("PYTHONPATH")]
+    env.update(
+        NPY_DISABLE_CPU_FEATURES=" ".join(above), OPENBLAS_CORETYPE="Haswell",
+        OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, path)),
+    )
+    return env
 
 
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
 def test_pinned_output_bytes(run, tmp_path):
     change, ratios, n_train, n_valid, ckpt_digest, loss_digest = PINNED_RUNS[run]
-    ds = make_gaussian_dataset(
-        n_rows=600, d_raw=8, n_classes=4, separation=6.0, seed=7, n_categorical=2, cardinality=3
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"the pins are x86-64 bytes; this host is {platform.machine()}")
+    if not all(_multiarray_umath.__cpu_features__.get(f) for f in ("AVX2", "FMA3")):
+        pytest.skip("the pins' CPU class needs AVX2 and FMA3, which this CPU lacks")
+    env = _avx2_class_env()
+    case = json.dumps(dict(change=change, ratios=ratios, n_train=n_train, n_valid=n_valid))
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("pinned_run.py")), str(tmp_path), case],
+        env=env, capture_output=True, text=True, check=True,
     )
-    idx = split(ds, seed=1)
-    pp = fit(ds, idx.train)
-    x_train = encode(pp, ds, idx.train)[:n_train]
-    x_valid = encode(pp, ds, idx.valid)[:n_valid]
-    small = dict(max_epochs=4, batch_size=32, patience=2, hidden_dim=16, embed_dim=8, projector_dim=8)
-    cfg = PretrainConfig(**{**small, **change})
-    stacks, reports = pretrain_ensemble(x_train, x_valid, pp, ratios, cfg, master_seed=9)
-    ckpt, losses = hashlib.sha256(), hashlib.sha256()
-    for k, (stack, report) in enumerate(zip(stacks, reports)):
-        save_checkpoint(tmp_path / f"{k}.ckpt", stack, pp)
-        ckpt.update((tmp_path / f"{k}.ckpt").read_bytes())
-        losses.update(np.array(report.train_losses + report.valid_losses).tobytes())
-    assert (ckpt.hexdigest(), losses.hexdigest()) == (ckpt_digest, loss_digest)
+    out = json.loads(done.stdout)
+    if out["core"] != "Haswell":
+        pytest.skip(f"OpenBLAS reports core {out['core']!r} where Haswell was forced")
+    kept = set(out["dispatch_on"]) & set(env["NPY_DISABLE_CPU_FEATURES"].split())
+    if kept:
+        pytest.skip(f"numpy kept {sorted(kept)} on where they were disabled")
+    assert tuple(out["digests"]) == (ckpt_digest, loss_digest)

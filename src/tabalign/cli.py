@@ -81,14 +81,9 @@ def _train_ensemble(
     x_valid = encode(pp, ds, indices.valid)
     stacks, reports = pretrain_ensemble(x_train, x_valid, pp, cfg.ratios, cfg.pretrain, cfg.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k, (stack, report) in enumerate(zip(stacks, reports)):
-        name = f"member-{k:02d}-{_ratio_tag(stack.ratio)}.ckpt"
+    names = [f"member-{k:02d}-{_ratio_tag(stack.ratio)}.ckpt" for k, stack in enumerate(stacks)]
+    for name, stack in zip(names, stacks):
         save_checkpoint(out_dir / name, stack, pp)
-        print(
-            f"[pretrain] {name}: {report.stopped_epoch} epochs, "
-            f"best valid loss {report.best_validation_loss:.4f} "
-            f"(epoch {report.best_epoch})"
-        )
 
     members = list(enumerate(zip(stacks, reports)))
     _write_csv(
@@ -111,6 +106,13 @@ def _train_ensemble(
             for k, (stack, report) in members
         ],
     )
+    # Printed once every file is written, so a closed stdout leaves a whole run.
+    for name, report in zip(names, reports):
+        print(
+            f"[pretrain] {name}: {report.stopped_epoch} epochs, "
+            f"best valid loss {report.best_validation_loss:.4f} "
+            f"(epoch {report.best_epoch})"
+        )
     return stacks, pp, ds, indices
 
 

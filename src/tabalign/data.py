@@ -139,8 +139,8 @@ def load_schema_file(path: str | Path) -> tuple[list[tuple[str, str]], str | Non
     """Parse a YAML column listing.
 
     The file holds a ``columns`` list; each entry has ``name``, ``kind``
-    (``numerical`` or ``categorical``), and at most one entry carries
-    ``label: true`` marking the label column (its kind, if given, is ignored).
+    (``numerical`` or ``categorical``); at most one entry carries ``label: true``
+    (a YAML boolean) marking the label column, whose kind, if given, is ignored.
 
     Returns:
         (feature (name, kind) pairs in file order, label column name or None).
@@ -170,7 +170,10 @@ def load_schema_file(path: str | Path) -> tuple[list[tuple[str, str]], str | Non
         if name in seen:
             raise SchemaError(f"{path}: duplicate column name {name!r}")
         seen.add(name)
-        if entry.get("label", False):
+        label = entry.get("label", False)
+        if not isinstance(label, bool):
+            raise SchemaError(f"{path}: column {name!r} has label {label!r}, not true or false")
+        if label:
             if label_name is not None:
                 raise SchemaError(f"{path}: more than one column marked 'label: true'")
             label_name = name

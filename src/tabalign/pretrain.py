@@ -107,14 +107,21 @@ class EncoderStack:
 
 @dataclass
 class PretrainReport:
-    """Per-epoch loss curves and the stopping summary of one training run."""
+    """A training run's progress: its per-epoch loss curves, its best validation
+    epoch (0 before the first epoch) and its wall time."""
 
-    train_losses: list[float]
-    valid_losses: list[float]
-    stopped_epoch: int
-    best_epoch: int
-    best_validation_loss: float
-    wall_seconds: float
+    train_losses: list[float] = field(default_factory=list)
+    valid_losses: list[float] = field(default_factory=list)
+    best_epoch: int = 0
+    wall_seconds: float = 0.0
+
+    @property
+    def stopped_epoch(self) -> int:
+        return len(self.train_losses)
+
+    @property
+    def best_validation_loss(self) -> float:
+        return self.valid_losses[self.best_epoch - 1] if self.best_epoch else np.inf
 
 
 def layer_shapes(encoded_dim: int, cfg: PretrainConfig) -> list[tuple[int, int]]:
@@ -470,16 +477,12 @@ def pretrain(
         moment.fill(0.0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([stack.seed, 1])))
     train, valid = (np.asarray(rows, dtype=cfg.numpy_dtype()) for rows in (train, valid))
-    best_loss = np.inf
-    best_epoch = 0
-    since_improved = 0
-    train_curve: list[float] = []
-    valid_curve: list[float] = []
+    report = PretrainReport()
     started = time.perf_counter()
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train))
-        train_curve.append(_mean_loss(
+        report.train_losses.append(_mean_loss(
             train, order, work, lambda b: train_step(stack, b, pp, rng, work=work)
         ))
         vloss_epoch = _mean_loss(
@@ -488,29 +491,18 @@ def pretrain(
         )
         if not np.isfinite(vloss_epoch):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        valid_curve.append(vloss_epoch)
-
-        if vloss_epoch < best_loss:
-            best_loss = vloss_epoch
-            best_epoch = epoch
+        report.valid_losses.append(vloss_epoch)
+        if vloss_epoch < report.best_validation_loss:
+            report.best_epoch = epoch
             for snapshot, p in zip(work.best, stack.parameters()):
                 np.copyto(snapshot, p)
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= cfg.patience:
-                break
+        elif epoch - report.best_epoch >= cfg.patience:
+            break
 
     for p, b in zip(stack.parameters(), work.best):
         p[...] = b
-    return PretrainReport(
-        train_losses=train_curve,
-        valid_losses=valid_curve,
-        stopped_epoch=len(train_curve),
-        best_epoch=best_epoch,
-        best_validation_loss=float(best_loss),
-        wall_seconds=time.perf_counter() - started,
-    )
+    report.wall_seconds = time.perf_counter() - started
+    return report
 
 
 def member_seed(*keys: int) -> int:

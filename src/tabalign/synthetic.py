@@ -30,7 +30,7 @@ def make_gaussian_dataset(
     n_rows allows. With ``n_categorical`` > 0 the trailing columns are
     discretized into ``cardinality`` quantile bins and declared categorical. Raises
     :class:`ConfigError` on a bad seed, a ``separation`` that is not finite and >= 0,
-    fewer rows than classes, or a ``cardinality`` below 2 with categorical columns.
+    fewer rows than classes, or, with categorical columns, an empty bin or a ``cardinality`` < 2.
     """
     if not (math.isfinite(separation) and separation >= 0):
         raise ConfigError(f"separation must be finite and >= 0, got {separation}")
@@ -59,8 +59,8 @@ def make_gaussian_dataset(
         edges = np.quantile(rows[:, j], np.linspace(0.0, 1.0, cardinality + 1)[1:-1])
         binned = np.digitize(rows[:, j], edges)
         observed = len(np.unique(binned))
-        if observed < 2:
-            raise ConfigError(f"column f{j}: quantile binning produced one level")
+        if observed < cardinality:
+            raise ConfigError(f"column f{j}: {observed} of {cardinality} quantile bins filled")
         rows[:, j] = binned
         schema[j] = ColumnSchema(f"f{j}", CATEGORICAL, cardinality)
 

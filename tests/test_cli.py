@@ -172,6 +172,21 @@ class TestPretrainCommand:
         for name in ("member-00-ratio-0.20.ckpt", "member-01-ratio-0.40.ckpt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_closed_stdout_leaves_every_file_written(self, workdir, monkeypatch):
+        """``pretrain | head -1``: the reader goes before the member lines are printed."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        out = workdir / "closed-stdout"
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        rc = main(["pretrain", "--config", str(workdir / "small.ini"), "--out-dir", str(out)])
+        assert rc == 1
+        for name in ("member-00-ratio-0.20.ckpt", "member-01-ratio-0.40.ckpt",
+                     "pretrain_history.csv", "pretrain_summary.csv"):
+            assert (out / name).exists(), name
+
     def test_missing_schema_is_usage_error(self, workdir):
         bad = workdir / "bad.ini"
         bad.write_text(

@@ -222,6 +222,21 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_schema_file(schema)
 
+    @pytest.mark.parametrize("flag", ['"false"', "1", "null"])
+    @pytest.mark.parametrize("another_label", [False, True])
+    def test_label_flag_that_is_not_a_boolean_rejected(self, tmp_path, flag, another_label):
+        """A quoted "false" is a truthy string: it must neither make ``y`` the label
+        nor turn another column's ``label: true`` into a second label."""
+        text = (
+            "columns:\n  - name: a\n    kind: numerical\n  - name: b\n    kind: numerical\n"
+            f"  - name: y\n    kind: numerical\n    label: {flag}\n"
+        )
+        if another_label:
+            text += "  - name: z\n    label: true\n"
+        schema = _write(tmp_path, "d.yaml", text)
+        with pytest.raises(SchemaError, match=r"column 'y' has label .*, not true or false"):
+            load_schema_file(schema)
+
     def test_synthetic_roundtrip(self, tmp_path):
         ds = make_gaussian_dataset(
             n_rows=120, d_raw=6, n_classes=3, seed=5, n_categorical=2, cardinality=3
@@ -248,8 +263,9 @@ class TestLoadCsv:
         ({"separation": float("inf")}, "separation must be finite and >= 0"),
         ({"separation": -1.0}, "separation must be finite and >= 0"),
         ({"n_categorical": 1, "cardinality": 1}, "cardinality=1 must be >= 2"),
+        ({"n_categorical": 1, "cardinality": 100}, "40 of 100 quantile bins filled"),
     ], ids=["seed-negative", "seed-float", "separation-nan", "separation-inf",
-            "separation-negative", "cardinality-one"])
+            "separation-negative", "cardinality-one", "cardinality-above-rows"])
     def test_synthetic_rejects_a_bad_seed_or_separation(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             make_gaussian_dataset(n_rows=40, d_raw=3, n_classes=2, **kwargs)

@@ -307,22 +307,28 @@ class TestPretrain:
         assert report.best_validation_loss < report.valid_losses[0]
         assert report.best_validation_loss == min(report.valid_losses)
 
+    @staticmethod
+    def _assert_stopped_after_patience(report, patience):
+        """The run stopped ``max(patience, 1)`` epochs after the first minimum of its curve."""
+        assert report.stopped_epoch == len(report.train_losses) == len(report.valid_losses)
+        assert report.stopped_epoch - report.best_epoch == max(patience, 1)
+        curve = report.valid_losses
+        assert report.best_validation_loss == curve[report.best_epoch - 1]
+        assert report.best_epoch - 1 == curve.index(min(curve))
+
     def test_early_stopping_within_patience(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 60, "patience": 3})
         stack = init_stack(pp.encoded_dim, 0.4, seed=4, cfg=cfg)
         report = pretrain(stack, x_train, x_valid, pp)
-        assert report.stopped_epoch - report.best_epoch <= 3
-        if report.stopped_epoch < 60:
-            assert report.stopped_epoch - report.best_epoch == 3
+        self._assert_stopped_after_patience(report, 3)
 
     def test_zero_patience_behaves_as_one(self, encoded_gauss):
         pp, x_train, x_valid = encoded_gauss
         cfg = PretrainConfig(**{**SMALL_CFG.__dict__, "max_epochs": 60, "patience": 0})
         stack = init_stack(pp.encoded_dim, 0.4, seed=4, cfg=cfg)
         report = pretrain(stack, x_train, x_valid, pp)
-        if report.stopped_epoch < 60:
-            assert report.stopped_epoch - report.best_epoch == 1
+        self._assert_stopped_after_patience(report, 0)
 
     def test_restores_best_parameters(self, encoded_gauss):
         """Parameters left in the stack reproduce the best validation loss."""
